@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .measures import ProductMeasure, expectation, sample_chunks
+from .measures import ProductMeasure, expectation, functional_values
 from .operators import DiffusionOperator, carre_du_champ
 from .poly import Polynomial
 
@@ -61,17 +61,10 @@ class CWReport:
     params: dict = field(default_factory=dict)
 
 
-def _abs_values(q: Polynomial, mu: ProductMeasure, n: int, seed: int, *labels) -> np.ndarray:
-    out = np.empty(n)
-    for lo, hi, block in sample_chunks(mu, n, seed, *labels):
-        out[lo:hi] = q.evaluate_batch(block)
-    return np.abs(out)
-
-
 def _ball_probs(
     q: Polynomial, mu: ProductMeasure, alphas: np.ndarray, n: int, seed: int, *labels
 ) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.sort(_abs_values(q, mu, n, seed, *labels))
+    vals = np.sort(np.abs(functional_values(q, mu, n, seed, *labels)))
     counts = np.searchsorted(vals, alphas, side="right")
     probs = counts / n
     stderrs = np.sqrt(probs * (1 - probs) / n)
@@ -144,6 +137,37 @@ def carbery_wright_check(
     )
 
 
+def _smoothed_indicator(gam: np.ndarray, eps_grid) -> tuple[np.ndarray, np.ndarray]:
+    """E[eps / (G + eps)] and its standard error per eps, all on one column G."""
+    n = gam.size
+    est, se = np.empty((2, len(eps_grid)))
+    for i, e in enumerate(eps_grid):
+        r = e / (gam + e)
+        est[i] = r.mean()
+        se[i] = r.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    return est, se
+
+
+def kappa_envelope(gammas, eps_grid, d: int, se_margin: float) -> float:
+    """Least kappa with est + se_margin * se <= kappa * eps^(1/(2d+1)).
+
+    Fitted over every column of Gamma(Q) values in ``gammas`` and every eps.
+    """
+    root = 1.0 / (2 * d + 1)
+    kappa = 0.0
+    for gam in gammas:
+        est, se = _smoothed_indicator(gam, eps_grid)
+        for e, m, s in zip(eps_grid, est, se):
+            kappa = max(kappa, float(m + se_margin * s) / e**root)
+    return float(kappa)
+
+
+def _gamma_values(q, mu, n, seed, gamma_q=None) -> np.ndarray:
+    if gamma_q is None:
+        gamma_q = carre_du_champ(DiffusionOperator(mu.family, mu.dim), q)
+    return functional_values(gamma_q, mu, n, seed, "smoothed-indicator")
+
+
 def smoothed_indicator_functional(
     q: Polynomial,
     mu: ProductMeasure,
@@ -161,17 +185,7 @@ def smoothed_indicator_functional(
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
     if np.any(eps_arr <= 0):
         raise PreconditionError("eps must be positive")
-    if gamma_q is None:
-        gamma_q = carre_du_champ(DiffusionOperator(mu.family, mu.dim), q)
-    gam = np.empty(n)
-    for lo, hi, block in sample_chunks(mu, n, seed, "smoothed-indicator"):
-        gam[lo:hi] = gamma_q.evaluate_batch(block)
-    est = np.empty(eps_arr.size)
-    se = np.empty(eps_arr.size)
-    for i, e in enumerate(eps_arr):
-        r = e / (gam + e)
-        est[i] = r.mean()
-        se[i] = r.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    est, se = _smoothed_indicator(_gamma_values(q, mu, n, seed, gamma_q), eps_arr)
     if np.isscalar(eps) or np.ndim(eps) == 0:
         return float(est[0]), float(se[0])
     return est, se
@@ -206,9 +220,5 @@ def kappa_fit(
     if d < 1:
         raise PreconditionError("degree bound d must be >= 1")
     mus = list(mu) if isinstance(mu, (list, tuple)) else [mu] * len(qs)
-    kappa = 0.0
-    for q, m in zip(qs, mus):
-        est, se = smoothed_indicator_functional(q, m, eps_grid, n, seed)
-        envelope = (est + se_margin * se) / eps_grid ** (1.0 / (2 * d + 1))
-        kappa = max(kappa, float(envelope.max()))
-    return kappa
+    gammas = (_gamma_values(q, m, n, seed) for q, m in zip(qs, mus))
+    return kappa_envelope(gammas, eps_grid, d, se_margin)

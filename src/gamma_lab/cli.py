@@ -9,7 +9,7 @@ Subcommands
     distance             kol/fm/tv distance between two input specs
     cw-check             small-ball ratio sweep (Carbery-Wright diagnostic)
     smoothed-functional  E[eps/(Gamma(Q)+eps)] over an eps grid
-    tv-bound             evaluate | optimize | chain for the TV bound
+    tv-bound             evaluate | optimize the TV bound
     emit-plot            project a CSV into gnuplot-style column data
 
 Exit codes: 0 success, 2 configuration error, 3 violated precondition
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -93,6 +94,17 @@ def _number(text: str):
         return text  # "p/q" strings are handled by parse_family
 
 
+def _finite(value, what: str, kind=float):
+    """value as a finite float, or as an exact int for kind=int; else ConfigError."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number) or (isinstance(value, float) and number != value):
+        raise ConfigError(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    return number
+
+
 def _read_poly(path: str, exact: bool | None) -> Polynomial:
     if path == "-":
         text = sys.stdin.read()
@@ -116,7 +128,10 @@ def _emit(text: str, out: str | None) -> None:
 def _parse_spec(spec: str, seed: int):
     """Turn a distance input spec into a SampleSet or AnalyticLaw."""
     if spec.startswith("@"):
-        values, meta = load_samples(spec[1:])
+        try:
+            values, meta = load_samples(spec[1:])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read sample file {spec[1:]}: {exc}") from exc
         if values.size == 0:
             raise ConfigError(f"sample file {spec[1:]} is empty")
         return SampleSet(values, seed=int(meta.get("seed", 0)),
@@ -138,10 +153,11 @@ def _parse_spec(spec: str, seed: int):
         if name == "uniform":
             return AnalyticLaw.uniform_0_pi()
         if name == "cos2":
-            return AnalyticLaw.cos2(int(opts.get("n", "1")))
+            return AnalyticLaw.cos2(_finite(opts.get("n", "1"), f"n of {spec!r}", int))
         if name == "gaussian":
             return AnalyticLaw.gaussian(
-                float(opts.get("mu", "0")), float(opts.get("sigma", "1"))
+                _finite(opts.get("mu", "0"), f"mu of {spec!r}"),
+                _finite(opts.get("sigma", "1"), f"sigma of {spec!r}"),
             )
         raise ConfigError(f"unknown analytic law {name!r}")
     if kind == "poly":
@@ -154,8 +170,8 @@ def _parse_spec(spec: str, seed: int):
                  (key, opts[key]) for key in ("r", "a", "b") if key in opts
              ]}
         )
-        n = int(opts.get("n", "100000"))
-        spec_seed = int(opts.get("seed", str(seed)))
+        n = _finite(opts.get("n", "100000"), f"n of {spec!r}", int)
+        spec_seed = _finite(opts.get("seed", str(seed)), f"seed of {spec!r}", int)
         return functional_samples(q, ProductMeasure(family, q.dim), n, spec_seed)
     raise ConfigError(f"cannot parse input spec {spec!r}")
 
@@ -265,16 +281,6 @@ def _cmd_smoothed(args) -> int:
 
 def _cmd_tv_bound(args) -> int:
     raw = load_config_file(args.config)
-    if args.mode == "chain":
-        if args.seed is not None:
-            raw = dict(raw, seed=args.seed)
-        config = parse_config(raw)
-        if config.scenario not in (
-            "tv_chain", "clt_linear", "chaos2", "gamma_clt", "beta_clt", "custom"
-        ):
-            raise ConfigError("tv-bound chain needs a chain scenario config")
-        run_experiment(config, out_dir=args.out, threads=args.threads)
-        return EXIT_OK
     if not isinstance(raw, dict):
         raise ConfigError("tv-bound config must be a JSON object")
     allowed = {"d_fm", "kappa", "degree", "budget_sup", "alpha", "eps"}
@@ -282,17 +288,16 @@ def _cmd_tv_bound(args) -> int:
     if unknown:
         raise ConfigError(f"unknown tv-bound keys: {sorted(unknown)}")
     try:
-        d_fm = float(raw["d_fm"])
-        kappa = float(raw["kappa"])
-        degree = int(raw["degree"])
-        budget = float(raw["budget_sup"])
+        d_fm, kappa, budget = (
+            _finite(raw[k], k) for k in ("d_fm", "kappa", "budget_sup")
+        )
+        degree = _finite(raw["degree"], "degree", int)
     except KeyError as exc:
         raise ConfigError(f"tv-bound config missing {exc}") from exc
     if args.mode == "evaluate":
         try:
-            report = evaluate_bound(
-                d_fm, kappa, degree, budget, float(raw["alpha"]), float(raw["eps"])
-            )
+            alpha, eps = _finite(raw["alpha"], "alpha"), _finite(raw["eps"], "eps")
+            report = evaluate_bound(d_fm, kappa, degree, budget, alpha, eps)
         except KeyError as exc:
             raise ConfigError(f"tv-bound evaluate needs {exc}") from exc
     else:
@@ -398,12 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sm.add_argument("--seed", type=int, default=0)
     p_sm.add_argument("--out", default=None)
 
-    p_tv = sub.add_parser("tv-bound", help="evaluate/optimize/chain the TV bound")
-    p_tv.add_argument("mode", choices=["evaluate", "optimize", "chain"])
+    p_tv = sub.add_parser("tv-bound", help="evaluate/optimize the TV bound")
+    p_tv.add_argument("mode", choices=["evaluate", "optimize"])
     p_tv.add_argument("--config", required=True)
-    p_tv.add_argument("--seed", type=int, default=None)
     p_tv.add_argument("--out", default=None)
-    p_tv.add_argument("--threads", type=int, default=None)
 
     p_plot = sub.add_parser("emit-plot", help="CSV to gnuplot-style columns")
     p_plot.add_argument("csv")

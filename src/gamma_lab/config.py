@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -83,6 +84,8 @@ def _parse_param(value, name: str):
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"family parameter {name} must be finite, got {value}")
         return value
     if isinstance(value, str):
         try:

@@ -35,8 +35,8 @@ from typing import Callable, Union
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .errors import DimensionMismatchError, PreconditionError
-from .measures import ProductMeasure, sample_chunks
+from .errors import PreconditionError
+from .measures import ProductMeasure, functional_values
 from .poly import Polynomial
 
 GRID_POINTS = 2048
@@ -434,16 +434,9 @@ def _window_max_clip(
 def functional_samples(
     q: Polynomial, mu: ProductMeasure, n: int, seed: int, *labels
 ) -> SampleSet:
-    """n draws of q(X_1, ..., X_m) under mu, streamed in deterministic chunks."""
-    if q.dim != mu.dim:
-        raise DimensionMismatchError(
-            f"polynomial dimension {q.dim} != measure dimension {mu.dim}"
-        )
-    out = np.empty(n)
-    for lo, hi, block in sample_chunks(mu, n, seed, *labels):
-        out[lo:hi] = q.evaluate_batch(block)
+    """n draws of q(X_1, ..., X_m) under mu (q.dim must equal mu.dim)."""
     digest = hashlib.sha1(q.to_json().encode()).hexdigest()[:12]
     return SampleSet(
-        out, seed=seed,
+        functional_values(q, mu, n, seed, *labels), seed=seed,
         provenance=f"{mu.family.label()};m={mu.dim};poly={digest}",
     )

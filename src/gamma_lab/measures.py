@@ -27,6 +27,9 @@ moment-based three-term recurrence
 
 which is exact in rational mode and uniform across families; squared norms
 are exposed separately so both monic and orthonormal views are available.
+
+Every Monte-Carlo pool is drawn by :func:`draw_pool`; every column of one
+polynomial over a pool is computed by :func:`functional_values`.
 """
 
 from __future__ import annotations
@@ -243,11 +246,6 @@ def variance(p: Polynomial, mu: ProductMeasure) -> Coef:
     return expectation(p * p, mu) - mean * mean
 
 
-def is_nondegenerate(p: Polynomial, mu: ProductMeasure) -> bool:
-    """Variance criterion: the law of p(X) is absolutely continuous iff true."""
-    return variance(p, mu) > 0
-
-
 # ---------------------------------------------------------------------------
 # Orthogonal bases
 # ---------------------------------------------------------------------------
@@ -324,27 +322,33 @@ def monomial_in_basis(family: MeasureFamily, k: int) -> tuple[tuple[int, Coef], 
 # ---------------------------------------------------------------------------
 
 
-def sample_chunks(
-    mu: ProductMeasure, n: int, seed: int, *labels
+def draw_pool(
+    family: MeasureFamily, width: int, n: int, stream: np.random.SeedSequence
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, stop, X[start:stop]) chunks of an (n, dim) sample matrix.
+    """Yield (start, stop, X[start:stop]) chunks of an (n, width) i.i.d. pool.
 
-    The stream is addressed by (seed, *labels); output is independent of how
+    The one sampling pass of the package: every Monte-Carlo estimate draws
+    its pool here.  Output depends only on ``stream`` and ``n``, never on how
     chunks are consumed or parallelized.
     """
     if n < 1:
         raise PreconditionError("sample count must be >= 1")
-    ss = substream(seed, "vector-samples", *labels)
-    for lo, hi, rng in chunk_streams(ss, n):
-        yield lo, hi, mu.family.draw(rng, (hi - lo, mu.dim))
+    for lo, hi, rng in chunk_streams(stream, n):
+        yield lo, hi, family.draw(rng, (hi - lo, width))
 
 
 def sample(mu: ProductMeasure, n: int, seed: int, *labels) -> np.ndarray:
     """n i.i.d. draws of the m-dimensional vector, shape (n, m) float64."""
-    out = np.empty((n, mu.dim))
-    for lo, hi, block in sample_chunks(mu, n, seed, *labels):
-        out[lo:hi] = block
-    return out
+    pool = draw_pool(mu.family, mu.dim, n, substream(seed, "vector-samples", *labels))
+    return np.concatenate([block for _, _, block in pool])
+
+
+def functional_values(
+    q: Polynomial, mu: ProductMeasure, n: int, seed: int, *labels
+) -> np.ndarray:
+    """q(X) for n draws of X ~ mu, shape (n,), on the pool of ``sample``."""
+    pool = draw_pool(mu.family, mu.dim, n, substream(seed, "vector-samples", *labels))
+    return np.concatenate([q.evaluate_batch(block) for _, _, block in pool])
 
 
 def save_samples(

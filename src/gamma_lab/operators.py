@@ -71,9 +71,6 @@ class DiffusionOperator:
     def measure(self) -> ProductMeasure:
         return ProductMeasure(self.family, self.dim)
 
-    def exact_capable(self) -> bool:
-        return self.family.exact
-
 
 def _diffusion_coeff(op: DiffusionOperator, i: int, exact: bool) -> Polynomial:
     """A(x_i) as a polynomial in R^dim."""

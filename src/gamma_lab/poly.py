@@ -121,17 +121,6 @@ class Polynomial:
         dim = i if dim is None else dim
         return cls(dim, {((i, 1),): 1}, exact)
 
-    @classmethod
-    def from_coeff_map(
-        cls,
-        dim: int,
-        coeffs: Mapping[tuple[tuple[int, int], ...] | Mapping[int, int], Coef],
-        exact: bool = True,
-    ) -> "Polynomial":
-        """Build from {exponent-map-or-pairs: coefficient}."""
-        return cls(dim, {_mono(k, dim) if not isinstance(k, tuple) else k: v
-                         for k, v in coeffs.items()}, exact)
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -420,26 +409,21 @@ class Polynomial:
     def from_json_dict(cls, data: Mapping, exact: bool | None = None) -> "Polynomial":
         try:
             dim = int(data["dim"])
-            raw = data["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PreconditionError(f"bad polynomial record: {exc}") from exc
-        coefs = []
-        for entry in raw:
-            c = entry["coef"]
-            if isinstance(c, str):
-                c = Fraction(c)
-            elif isinstance(c, bool):
+            coefs = [(entry["exps"], entry["coef"]) for entry in data["terms"]]
+            if any(isinstance(c, bool) for _, c in coefs):
                 raise PreconditionError("boolean coefficient")
-            coefs.append((entry["exps"], c))
-        if exact is None:
-            exact = not any(isinstance(c, float) for _, c in coefs)
-        terms: dict[Mono, Coef] = {}
-        for exps, c in coefs:
-            if exact and isinstance(c, float):
-                # Decimal semantics: 0.1 in a rational-mode file means 1/10.
-                c = Fraction(repr(c))
-            key = _mono([(int(v), int(p)) for v, p in exps], dim)
-            terms[key] = terms.get(key, 0) + (Fraction(c) if exact else float(c))
+            coefs = [(e, Fraction(c) if isinstance(c, str) else c) for e, c in coefs]
+            if exact is None:
+                exact = not any(isinstance(c, float) for _, c in coefs)
+            terms: dict[Mono, Coef] = {}
+            for exps, c in coefs:
+                if exact and isinstance(c, float):
+                    # Decimal semantics: 0.1 in a rational-mode file means 1/10.
+                    c = Fraction(repr(c))
+                key = _mono([(int(v), int(p)) for v, p in exps], dim)
+                terms[key] = terms.get(key, 0) + (Fraction(c) if exact else float(c))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise PreconditionError(f"bad polynomial record: {exc}") from exc
         return cls(dim, terms, exact)
 
     @classmethod

@@ -9,7 +9,8 @@ Labels are strings (hashed with crc32) or integers, combined into a
 Sample matrices are generated in fixed-size chunks of ``CHUNK_ROWS`` rows,
 each chunk from its own spawned stream.  Chunk boundaries depend only on the
 row count, never on the number of worker threads, so any parallel map over
-chunks reassembles to bit-identical output.
+chunks reassembles to bit-identical output.  ``measures.draw_pool`` is the
+one consumer of :func:`chunk_streams`: every pool is drawn through it.
 """
 
 from __future__ import annotations

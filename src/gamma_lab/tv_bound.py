@@ -37,19 +37,20 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from .anticoncentration import DEFAULT_EPS_GRID
+from .anticoncentration import DEFAULT_EPS_GRID, kappa_envelope
 from .distances import SampleSet, fortet_mourier, total_variation
-from .errors import DegenerateFunctionalError, PreconditionError
+from .errors import ConsistencyError, DegenerateFunctionalError, PreconditionError
 from .measures import (
     MeasureFamily,
     ProductMeasure,
+    draw_pool,
     expectation,
-    sample_chunks,
+    functional_values,
     variance,
 )
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .poly import Polynomial
-from .sampling import substream, chunk_streams
+from .sampling import substream
 
 TWO_SQRT_2_OVER_PI = 2.0 * math.sqrt(2.0 / math.pi)
 
@@ -67,7 +68,6 @@ class MomentBudget:
     e_abs_lq: float  # int |LQ| dmu, Monte Carlo or quadrature
     e_abs_lq_se: float
     var_q: float
-    l2_norms: dict  # p -> (int |Q|^p dmu)^(1/p), p in {2, 4}
     degenerate: bool
     method: str
     n_mc: int = 0
@@ -95,10 +95,6 @@ def moment_budget(
     gamma_q = carre_du_champ(op, q)
     e_gg = float(expectation(carre_du_champ(op, gamma_q), mu))
     var_q = float(variance(q, mu))
-    q2 = q * q
-    e2 = float(expectation(q2, mu))
-    e4 = float(expectation(q2 * q2, mu))
-    l2_norms = {2: e2 ** 0.5, 4: e4 ** 0.25}
     lq = apply_generator(op, q)
     if method == "quadrature":
         if mu.dim > 2:
@@ -106,7 +102,8 @@ def moment_budget(
         e_lq, se = _abs_expectation_quadrature(lq, mu), 0.0
         n = 0
     elif method == "mc":
-        e_lq, se = _abs_expectation_mc(lq, mu, n, seed)
+        vals = np.abs(functional_values(lq, mu, n, seed, "abs-moment"))
+        e_lq, se = float(vals.mean()), float(vals.std()) / math.sqrt(n)
     else:
         raise PreconditionError(f"unknown budget method {method!r}")
     return MomentBudget(
@@ -114,25 +111,10 @@ def moment_budget(
         e_abs_lq=e_lq,
         e_abs_lq_se=se,
         var_q=var_q,
-        l2_norms=l2_norms,
         degenerate=var_q == 0.0,
         method=method,
         n_mc=n,
     )
-
-
-def _abs_expectation_mc(
-    p: Polynomial, mu: ProductMeasure, n: int, seed: int
-) -> tuple[float, float]:
-    total = 0.0
-    total_sq = 0.0
-    for lo, hi, block in sample_chunks(mu, n, seed, "abs-moment"):
-        vals = np.abs(p.evaluate_batch(block))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
 
 
 def _effective_interval(family: MeasureFamily) -> tuple[float, float]:
@@ -350,7 +332,7 @@ def run_chain_replicate(
     evaluated on the leading columns of one shared pool, coupling the chain
     as tightly as the index sets allow (common random numbers).  The last
     element stands in for the limit law.  Raises DegenerateFunctionalError
-    when that element has zero variance, and PreconditionError when any
+    when that element has zero variance, and ConsistencyError when any
     empirical d_TV exceeds its optimized bound beyond ``slack_sigmas``
     pooled standard errors.
     """
@@ -398,9 +380,8 @@ def run_chain_replicate(
     gam_vals = [np.empty(k_rows) for _ in elements]
     lq_sum = [0.0] * len(elements)
     lq_sumsq = [0.0] * len(elements)
-    ss = substream(seed, "chain-pool")
-    for lo, hi, rng in chunk_streams(ss, n_samples):
-        block = family.draw(rng, (hi - lo, m_max))
+    pool = draw_pool(family, m_max, n_samples, substream(seed, "chain-pool"))
+    for lo, hi, block in pool:
         for idx, (q, m) in enumerate(zip(elements, dims)):
             sub = block[:, :m]
             f_vals[idx][lo:hi] = q.evaluate_batch(sub)
@@ -420,14 +401,7 @@ def run_chain_replicate(
     sup_idx = int(np.argmax(budgets))
     budget_sup = budgets[sup_idx]
 
-    kappa = 0.0
-    root = 1.0 / (2 * d + 1)
-    for gam in gam_vals:
-        for e in eps_grid:
-            r = e / (gam + e)
-            est = float(r.mean())
-            se = float(r.std(ddof=1)) / math.sqrt(k_rows) if k_rows > 1 else 0.0
-            kappa = max(kappa, (est + se_margin * se) / e**root)
+    kappa = kappa_envelope(gam_vals, eps_grid, d, se_margin)
 
     ref = SampleSet(f_vals[-1], seed=seed, provenance="chain-reference")
     rows = []
@@ -441,7 +415,7 @@ def run_chain_replicate(
         )
         pooled_se = math.sqrt(tv.uncertainty**2 + se_bound**2)
         if tv.estimate > report.total + slack_sigmas * pooled_se:
-            raise PreconditionError(
+            raise ConsistencyError(
                 f"chain pair n={n}: empirical d_TV {tv.estimate} exceeds the "
                 f"optimized bound {report.total} beyond {slack_sigmas} pooled "
                 "standard errors"

@@ -292,6 +292,38 @@ def test_cli_distance_bad_spec(tmp_path):
                    "--right", "analytic:uniform") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["distance", "--metric", "kol", "--left", "analytic:cos2:n=abc",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "tv", "--left", "analytic:gaussian:sigma=x",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "tv", "--left", "analytic:gaussian:mu=inf",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "tv", "--left", "poly:@{q}:family=gaussian:n=zz",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "tv", "--left", "@{missing}",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "tv", "--left", "poly:@{q}:family=gamma:r=inf",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["generator", "--poly", "{nocoef}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{badcoef}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{nodim}", "--family", "gaussian"], EXIT_PRECONDITION),
+])
+def test_cli_malformed_input_exit_codes(tmp_path, argv, code):
+    files = {
+        "q": Polynomial.variable(1, 1).to_json(),
+        "nocoef": '{"dim": 1, "terms": [{"exps": [[1, 1]]}]}',
+        "badcoef": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": "1/x"}]}',
+        "nodim": '{"terms": [{"exps": [[1, 1]], "coef": 1}]}',
+    }
+    paths = {"missing": str(tmp_path / "missing.samples")}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.json")
+    argv = [a.format(**paths) for a in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == code
+
+
 # -- sweep subcommands ---------------------------------------------------------------
 
 
@@ -354,14 +386,36 @@ def test_cli_tv_bound_unknown_key(tmp_path):
     assert run_cli("tv-bound", "optimize", "--config", cfg) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("record", [
+    {"d_fm": "abc", "kappa": 1, "degree": 1, "budget_sup": 1},
+    {"d_fm": "nan", "kappa": 1, "degree": 1, "budget_sup": 1, "eps": "inf", "alpha": 0.1},
+    {"d_fm": 0.1, "kappa": 1, "degree": "x", "budget_sup": 1, "eps": 0.1, "alpha": 0.1},
+    {"d_fm": 0.1, "kappa": 1, "degree": 2.5, "budget_sup": 1, "eps": 0.1, "alpha": 0.1},
+])
+@pytest.mark.parametrize("mode", ["evaluate", "optimize"])
+def test_cli_tv_bound_rejects_non_numbers(tmp_path, record, mode):
+    cfg = write_json(tmp_path / "b.json", record)
+    out = tmp_path / "b.csv"
+    assert run_cli("tv-bound", mode, "--config", cfg, "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_cli_tv_bound_chain_mode_removed(tmp_path):
+    cfg = write_json(tmp_path / "b.json", {})
+    with pytest.raises(SystemExit) as exc:
+        run_cli("tv-bound", "chain", "--config", cfg)
+    assert exc.value.code == EXIT_CONFIG
+
+
 def test_cli_tv_bound_chain(tmp_path):
+    # The tv_chain scenario through `run`, the one CLI path for chain configs.
     cfg = write_json(tmp_path / "chain.json", {
         "schema": "gamma-lab/1", "scenario": "tv_chain",
         "sequence": "chaos2", "family": {"kind": "gaussian"},
         "seed": 5, "n_grid": [2, 4], "samples": 20_000,
     })
     out = tmp_path / "chain"
-    assert run_cli("tv-bound", "chain", "--config", cfg, "--out", str(out)) == EXIT_OK
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == EXIT_OK
     lines = (out / "tv_chain.csv").read_text().splitlines()
     assert lines[0] == "n,d_fm,d_tv_hat,kappa,budget,alpha_star,eps_star,bound"
     assert len(lines) == 3

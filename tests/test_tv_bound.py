@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from gamma_lab.errors import DegenerateFunctionalError, PreconditionError
+from gamma_lab.errors import (
+    ConsistencyError,
+    DegenerateFunctionalError,
+    PreconditionError,
+)
 from gamma_lab.measures import (
     ProductMeasure,
     beta,
@@ -274,3 +278,11 @@ def test_chain_small_scale_structure():
         assert row.d_tv_hat <= row.bound + 3 * row.d_tv_se
         assert row.kappa > 0 and np.isfinite(row.budget)
     assert rows[-1].d_tv_hat == 0.0  # last element compared with itself
+
+
+def test_chain_bound_violation_is_consistency_error():
+    with pytest.raises(ConsistencyError):
+        run_chain_replicate(
+            lambda n: linear_sum_sequence(gaussian(), n), gaussian(), [2, 4],
+            10_000, seed=4, slack_sigmas=-1e9,
+        )
