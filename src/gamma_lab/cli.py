@@ -14,7 +14,7 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error, 3 violated precondition
 (e.g. family parameters outside the log-concave range, degenerate chain
-limit), 4 failed internal consistency check.
+limit, a NaN or infinite output value), 4 failed internal consistency check.
 
 Input specs for ``distance``:
     @file.samples                           sample column written by the library

@@ -2,18 +2,22 @@
 
 Each scenario turns an :class:`~gamma_lab.config.ExperimentConfig` into one
 or more CSV files plus a ``manifest.json``.  Replicates are independent
-named substreams of the config seed, so they may run on any number of
-worker threads: results are assembled in replicate order and the CSV bytes
-do not depend on the thread count.  Floats are serialized with ``repr``
-(shortest round-trip form) to keep outputs byte-stable.
+named substreams of the config seed.  A chain run spreads its threads over
+replicates first: ``min(threads, replicates)`` replicates run at once, and
+each splits its pool pass over ``threads // min(threads, replicates)``
+workers by chunk (``pool_threads`` in the manifest), so a single replicate
+uses every thread.  Both maps return results in order and the CSV bytes do
+not depend on the thread count.  Floats are serialized with ``repr``
+(shortest round-trip form) to keep outputs byte-stable; :func:`write_csv`
+refuses a NaN or infinite cell before it opens the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,10 +29,10 @@ from .config import (
     config_hash,
 )
 from .distances import AnalyticLaw, kolmogorov, total_variation
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 from .measures import ProductMeasure
 from .poly import Polynomial
-from .sampling import derive_seed
+from .sampling import derive_seed, ordered_map
 from .tv_bound import SEQUENCES, run_chain_replicate
 
 
@@ -43,6 +47,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    for row in rows:
+        for name, value in zip(header, row):
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise PreconditionError(
+                    f"non-finite {name} = {value!r}; {os.path.basename(path)} not written"
+                )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -59,14 +69,6 @@ def _thread_count(threads: int | None) -> int:
         except ValueError as exc:
             raise ConfigError(f"GAMMA_LAB_THREADS must be an integer: {env!r}") from exc
     return 1
-
-
-def _replicate_map(fn, count: int, threads: int):
-    """Run fn(replicate_index) for all indices, in index order of results."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +116,19 @@ def _run_chain(
 ) -> tuple[list[str], dict]:
     builder, n_grid = _chain_builder(config)
     replicate_s = [0.0] * config.replicates
+    pool_threads = threads // min(threads, config.replicates)
 
     def one(rep: int):
         t0 = time.time()
         rep_seed = derive_seed(config.seed, "replicate", rep)
         rows = run_chain_replicate(
-            builder, config.family, n_grid, config.samples, rep_seed
+            builder, config.family, n_grid, config.samples, rep_seed,
+            threads=pool_threads,
         )
         replicate_s[rep] = round(time.time() - t0, 3)
         return rows
 
-    results = _replicate_map(one, config.replicates, threads)
+    results = ordered_map(one, range(config.replicates), threads)
     # Single replicate: exactly the documented chain columns; otherwise a
     # leading replicate index distinguishes the blocks.
     header = ["n", "d_fm", "d_tv_hat", "kappa", "budget",
@@ -150,7 +154,7 @@ def _run_chain(
     summary = os.path.join(out_dir, f"{config.scenario}_summary.csv")
     write_csv(summary, ["n", "d_fm_median", "d_tv_median", "bound_median"],
               summary_rows)
-    return [path, summary], {"replicates_s": replicate_s}
+    return [path, summary], {"replicates_s": replicate_s, "pool_threads": pool_threads}
 
 
 def _run_cw_sweep(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict]:

@@ -46,7 +46,7 @@ from scipy import special, stats
 
 from .errors import DimensionMismatchError, PreconditionError
 from .poly import Coef, Polynomial
-from .sampling import chunk_streams, substream
+from .sampling import BLOCK_ROWS, chunk_edges, generator, substream
 
 Param = Union[Fraction, float]
 
@@ -324,31 +324,50 @@ def monomial_in_basis(family: MeasureFamily, k: int) -> tuple[tuple[int, Coef], 
 
 def draw_pool(
     family: MeasureFamily, width: int, n: int, stream: np.random.SeedSequence
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, stop, X[start:stop]) chunks of an (n, width) i.i.d. pool.
+) -> list[tuple[int, int, Iterator[tuple[int, int, np.ndarray]]]]:
+    """The (start, stop, blocks) chunks of an (n, width) i.i.d. pool.
 
     The one sampling pass of the package: every Monte-Carlo estimate draws
-    its pool here.  Output depends only on ``stream`` and ``n``, never on how
-    chunks are consumed or parallelized.
+    its pool here.  ``blocks`` draws its chunk lazily from the chunk's own
+    generator, ``BLOCK_ROWS`` rows at a time, yielding (lo, hi, X[lo:hi]).
+    Output depends only on ``stream`` and ``n``, never on how chunks are
+    consumed or parallelized.
     """
     if n < 1:
         raise PreconditionError("sample count must be >= 1")
-    for lo, hi, rng in chunk_streams(stream, n):
-        yield lo, hi, family.draw(rng, (hi - lo, width))
+    edges = chunk_edges(n)
+    return [
+        (lo, hi, _draw_blocks(family, width, lo, hi, generator(child)))
+        for (lo, hi), child in zip(edges, stream.spawn(len(edges)))
+    ]
+
+
+def _draw_blocks(family: MeasureFamily, width: int, lo: int, hi: int, rng):
+    for start in range(lo, hi, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, hi)
+        yield start, stop, family.draw(rng, (stop - start, width))
+
+
+def _pool_blocks(mu: ProductMeasure, n: int, seed: int, labels) -> Iterator:
+    """The blocks of the ``("vector-samples", *labels)`` pool, in row order."""
+    pool = draw_pool(mu.family, mu.dim, n, substream(seed, "vector-samples", *labels))
+    for _, _, blocks in pool:
+        for _, _, x in blocks:
+            yield x
 
 
 def sample(mu: ProductMeasure, n: int, seed: int, *labels) -> np.ndarray:
     """n i.i.d. draws of the m-dimensional vector, shape (n, m) float64."""
-    pool = draw_pool(mu.family, mu.dim, n, substream(seed, "vector-samples", *labels))
-    return np.concatenate([block for _, _, block in pool])
+    return np.concatenate(list(_pool_blocks(mu, n, seed, labels)))
 
 
 def functional_values(
     q: Polynomial, mu: ProductMeasure, n: int, seed: int, *labels
 ) -> np.ndarray:
     """q(X) for n draws of X ~ mu, shape (n,), on the pool of ``sample``."""
-    pool = draw_pool(mu.family, mu.dim, n, substream(seed, "vector-samples", *labels))
-    return np.concatenate([q.evaluate_batch(block) for _, _, block in pool])
+    return np.concatenate(
+        [q.evaluate_batch(x) for x in _pool_blocks(mu, n, seed, labels)]
+    )
 
 
 def save_samples(

@@ -7,20 +7,29 @@ Labels are strings (hashed with crc32) or integers, combined into a
 ``SeedSequence`` spawn key.
 
 Sample matrices are generated in fixed-size chunks of ``CHUNK_ROWS`` rows,
-each chunk from its own spawned stream.  Chunk boundaries depend only on the
-row count, never on the number of worker threads, so any parallel map over
-chunks reassembles to bit-identical output.  ``measures.draw_pool`` is the
-one consumer of :func:`chunk_streams`: every pool is drawn through it.
+each chunk from its own spawned stream.  Inside a chunk the rows are drawn
+in blocks of ``BLOCK_ROWS`` from that chunk's generator, one block after
+another, which yields exactly the rows of a single draw of the whole chunk
+while holding only one block in memory.  Chunk boundaries depend only on
+the row count, never on the number of worker threads, so any parallel map
+over chunks reassembles to bit-identical output.  ``measures.draw_pool``
+spawns the chunk streams: every pool is drawn through it.
+
+:func:`ordered_map` is the one parallel map of the package.  It runs the
+chain experiment's replicates, and inside each replicate the chunks of its
+pool pass; results come back in item order, so every reduction over them
+adds in the same order at any thread count.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterator
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 CHUNK_ROWS = 1 << 16
+BLOCK_ROWS = 1 << 12  # rows per draw inside a chunk; divides CHUNK_ROWS
 
 
 def _label_key(label) -> int:
@@ -53,11 +62,10 @@ def chunk_edges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS)]
 
 
-def chunk_streams(
-    seed_seq: np.random.SeedSequence, n: int
-) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """Yield (start, stop, generator) per chunk; deterministic in n and seed."""
-    edges = chunk_edges(n)
-    children = seed_seq.spawn(len(edges))
-    for (lo, hi), child in zip(edges, children):
-        yield lo, hi, generator(child)
+def ordered_map(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]`` on up to ``threads`` worker threads, in item order."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))

@@ -50,9 +50,11 @@ from .measures import (
 )
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .poly import Polynomial
-from .sampling import substream
+from .sampling import ordered_map, substream
 
 TWO_SQRT_2_OVER_PI = 2.0 * math.sqrt(2.0 / math.pi)
+# Smallest pool of a chain replicate: ceil(1000^(1/3)) = 10 histogram bins.
+MIN_CHAIN_SAMPLES = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +327,7 @@ def run_chain_replicate(
     kappa_samples: int = 100_000,
     se_margin: float = 2.0,
     slack_sigmas: float = 3.0,
+    threads: int = 1,
 ) -> list[ChainRow]:
     """One replicate of the chain experiment on a common sample pool.
 
@@ -334,11 +337,18 @@ def run_chain_replicate(
     element stands in for the limit law.  Raises DegenerateFunctionalError
     when that element has zero variance, and ConsistencyError when any
     empirical d_TV exceeds its optimized bound beyond ``slack_sigmas``
-    pooled standard errors.
+    pooled standard errors.  ``threads`` workers share the pool pass; the
+    rows do not depend on it.  Fewer than ``MIN_CHAIN_SAMPLES`` samples
+    raise PreconditionError.
     """
     n_grid = list(n_grid)
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise PreconditionError("n_grid must be nonempty and strictly ascending")
+    if n_samples < MIN_CHAIN_SAMPLES:
+        raise PreconditionError(
+            f"a chain replicate needs at least {MIN_CHAIN_SAMPLES} samples, got "
+            f"{n_samples}: fewer leave the TV histogram under 10 bins"
+        )
     if eps_grid is None:
         eps_grid = DEFAULT_EPS_GRID
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -373,24 +383,37 @@ def run_chain_replicate(
     ]
 
     # One pass over a shared pool: functional values for every element,
-    # |LQ| accumulators, and carré-du-champ values for the kappa fit.
+    # |LQ| sums, and carré-du-champ values for the kappa fit.  Chunks run on
+    # up to ``threads`` workers.  Each sums |LQ| once over its whole chunk,
+    # so the sums do not depend on the block size, and the chunk sums are
+    # added in chunk order.
     m_max = max(dims)
     k_rows = min(kappa_samples, n_samples)
     f_vals = [np.empty(n_samples) for _ in elements]
     gam_vals = [np.empty(k_rows) for _ in elements]
+
+    def pass_chunk(chunk):
+        c_lo, c_hi, blocks = chunk
+        abs_lq = [np.empty(c_hi - c_lo) for _ in elements]
+        for lo, hi, block in blocks:
+            take = min(hi, k_rows) - lo
+            for idx, (q, m) in enumerate(zip(elements, dims)):
+                sub = block[:, :m]
+                f_vals[idx][lo:hi] = q.evaluate_batch(sub)
+                abs_lq[idx][lo - c_lo:hi - c_lo] = lqs[idx].evaluate_batch(sub)
+                if take > 0:
+                    gam_vals[idx][lo:lo + take] = gammas[idx].evaluate_batch(sub[:take])
+        for a in abs_lq:
+            np.abs(a, out=a)
+        return [(float(a.sum()), float((a * a).sum())) for a in abs_lq]
+
+    pool = draw_pool(family, m_max, n_samples, substream(seed, "chain-pool"))
     lq_sum = [0.0] * len(elements)
     lq_sumsq = [0.0] * len(elements)
-    pool = draw_pool(family, m_max, n_samples, substream(seed, "chain-pool"))
-    for lo, hi, block in pool:
-        for idx, (q, m) in enumerate(zip(elements, dims)):
-            sub = block[:, :m]
-            f_vals[idx][lo:hi] = q.evaluate_batch(sub)
-            a = np.abs(lqs[idx].evaluate_batch(sub))
-            lq_sum[idx] += float(a.sum())
-            lq_sumsq[idx] += float((a * a).sum())
-            if lo < k_rows:
-                take = min(hi, k_rows) - lo
-                gam_vals[idx][lo:lo + take] = gammas[idx].evaluate_batch(sub[:take])
+    for sums in ordered_map(pass_chunk, pool, threads):
+        for idx, (s, sq) in enumerate(sums):
+            lq_sum[idx] += s
+            lq_sumsq[idx] += sq
 
     e_abs_lqs = [s / n_samples for s in lq_sum]
     lq_ses = [

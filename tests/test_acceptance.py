@@ -257,6 +257,7 @@ SUITES = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_08_tv_chain():
     started = time.perf_counter()
     n_grid = [4, 16, 64]

@@ -16,6 +16,7 @@ from gamma_lab.config import config_hash, parse_config
 from gamma_lab.errors import ConfigError, PreconditionError
 from gamma_lab.measures import save_samples
 from gamma_lab.poly import Polynomial
+from gamma_lab.sampling import CHUNK_ROWS
 
 
 def run_cli(*argv):
@@ -322,6 +323,48 @@ def test_cli_malformed_input_exit_codes(tmp_path, argv, code):
         paths[name] = str(tmp_path / f"{name}.json")
     argv = [a.format(**paths) for a in argv]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == code
+
+
+@pytest.mark.parametrize("argv, record", [
+    # finite inputs whose bound overflows to inf
+    (["tv-bound", "evaluate", "--config", "{cfg}"],
+     {"d_fm": 1e308, "kappa": 1, "degree": 1, "budget_sup": 1,
+      "alpha": 1e-10, "eps": 0.1}),
+    # a family parameter that makes the moment budget NaN
+    (["run", "--config", "{cfg}"],
+     {"schema": "gamma-lab/1", "scenario": "gamma_clt",
+      "family": {"kind": "gamma", "r": 1e300}, "seed": 1,
+      "n_grid": [2, 4], "samples": 2000}),
+    # a one-row pool: a single histogram bin
+    (["run", "--config", "{cfg}"], dict(BASE_CHAIN, samples=1)),
+], ids=["tv-bound-overflow", "gamma-r-1e300", "one-sample"])
+def test_cli_non_finite_or_tiny_runs_exit_3(tmp_path, argv, record):
+    cfg = write_json(tmp_path / "cfg.json", record)
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        argv = argv + ["--out", str(out)]
+    else:
+        argv = argv + ["--out", str(out / "bound.csv")]
+        out.mkdir()
+    assert run_cli(*[a.format(cfg=cfg) for a in argv]) == EXIT_PRECONDITION
+    assert list(out.iterdir()) == []
+
+
+def test_run_single_replicate_bytes_do_not_depend_on_threads(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "schema": "gamma-lab/1", "scenario": "beta_clt", "seed": 3,
+        "n_grid": [2, 4], "samples": 2 * CHUNK_ROWS + 999, "replicates": 1,
+    })
+    blobs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        assert run_cli("run", "--config", cfg, "--out", str(out),
+                       "--threads", str(threads)) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["timings"]["pool_threads"] == threads
+        blobs[threads] = [(out / name).read_bytes()
+                          for name in ("beta_clt.csv", "beta_clt_summary.csv")]
+    assert blobs[1] == blobs[2]
 
 
 # -- sweep subcommands ---------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Moment budgets, the three-term TV bound, and the chain experiment."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from gamma_lab.distances import SampleSet, fortet_mourier, total_variation
 from gamma_lab.errors import (
     ConsistencyError,
     DegenerateFunctionalError,
@@ -19,7 +21,9 @@ from gamma_lab.measures import (
     variance,
 )
 from gamma_lab.poly import Polynomial, variables
+from gamma_lab.sampling import CHUNK_ROWS, chunk_edges, generator, substream
 from gamma_lab.tv_bound import (
+    MIN_CHAIN_SAMPLES,
     evaluate_bound,
     hypercontractivity_ratio,
     linear_sum_sequence,
@@ -286,3 +290,44 @@ def test_chain_bound_violation_is_consistency_error():
             lambda n: linear_sum_sequence(gaussian(), n), gaussian(), [2, 4],
             10_000, seed=4, slack_sigmas=-1e9,
         )
+
+
+def test_chain_rejects_too_few_samples():
+    fam = gaussian()
+    with pytest.raises(PreconditionError, match="at least"):
+        run_chain_replicate(
+            lambda n: linear_sum_sequence(fam, n), fam, [2, 4],
+            MIN_CHAIN_SAMPLES - 1, seed=1,
+        )
+
+
+def test_chain_rows_do_not_depend_on_pool_threads():
+    # A partial last chunk, and a kappa row count inside a draw block; more
+    # workers than cores, switching threads often.
+    fam = beta(2, 2)
+    n_samples = 3 * CHUNK_ROWS + 12345
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [
+            run_chain_replicate(
+                lambda n: pair_product_sequence(fam, n), fam, [2, 4],
+                n_samples, seed=6, kappa_samples=70_001, threads=threads,
+            )
+            for threads in (1, 2, 8)
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+    # The distances are those of the pool drawn one whole chunk at a time.
+    edges = chunk_edges(n_samples)
+    children = substream(6, "chain-pool").spawn(len(edges))
+    pool = np.concatenate([
+        fam.draw(generator(child), (hi - lo, 8))
+        for (lo, hi), child in zip(edges, children)
+    ])
+    first, last = (pair_product_sequence(fam, n) for n in (2, 4))
+    cur = SampleSet(first.evaluate_batch(pool[:, :4]))
+    ref = SampleSet(last.evaluate_batch(pool))
+    assert runs[0][0].d_tv_hat == total_variation(cur, ref).estimate
+    assert runs[0][0].d_fm == fortet_mourier(cur, ref).estimate
