@@ -58,6 +58,12 @@ class SampleSet:
         object.__setattr__(self, "values", vals)
         if vals.size == 0:
             raise PreconditionError("empty sample set")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise PreconditionError(
+                f"non-finite sample value {vals[~finite][0]} in sample set "
+                f"{self.provenance!r}"
+            )
 
     @property
     def n(self) -> int:

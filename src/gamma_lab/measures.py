@@ -46,7 +46,7 @@ from scipy import special, stats
 
 from .errors import DimensionMismatchError, PreconditionError
 from .poly import Coef, Polynomial
-from .sampling import BLOCK_ROWS, chunk_edges, generator, substream
+from .sampling import BLOCK_ROWS, SLAB_ROWS, chunk_edges, generator, substream
 
 Param = Union[Fraction, float]
 
@@ -330,8 +330,9 @@ def draw_pool(
     The one sampling pass of the package: every Monte-Carlo estimate draws
     its pool here.  ``blocks`` draws its chunk lazily from the chunk's own
     generator, ``BLOCK_ROWS`` rows at a time, yielding (lo, hi, X[lo:hi]).
-    Output depends only on ``stream`` and ``n``, never on how chunks are
-    consumed or parallelized.
+    Each X[lo:hi] is a column-major (rows, width) view on a fresh buffer:
+    index it by column, and keep it if needed.  Output depends only on
+    ``stream`` and ``n``, never on how chunks are consumed or parallelized.
     """
     if n < 1:
         raise PreconditionError("sample count must be >= 1")
@@ -345,7 +346,15 @@ def draw_pool(
 def _draw_blocks(family: MeasureFamily, width: int, lo: int, hi: int, rng):
     for start in range(lo, hi, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, hi)
-        yield start, stop, family.draw(rng, (stop - start, width))
+        # Fill a fresh (width, rows) buffer one row slab at a time, so the
+        # transposing copy of each slab stays cache-resident; its .T view
+        # is the (rows, width) block with contiguous columns.
+        rows = stop - start
+        buf = np.empty((width, rows))
+        for s in range(0, rows, SLAB_ROWS):
+            e = min(s + SLAB_ROWS, rows)
+            buf[:, s:e] = family.draw(rng, (e - s, width)).T
+        yield start, stop, buf.T
 
 
 def _pool_blocks(mu: ProductMeasure, n: int, seed: int, labels) -> Iterator:

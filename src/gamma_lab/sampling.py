@@ -7,13 +7,17 @@ Labels are strings (hashed with crc32) or integers, combined into a
 ``SeedSequence`` spawn key.
 
 Sample matrices are generated in fixed-size chunks of ``CHUNK_ROWS`` rows,
-each chunk from its own spawned stream.  Inside a chunk the rows are drawn
-in blocks of ``BLOCK_ROWS`` from that chunk's generator, one block after
-another, which yields exactly the rows of a single draw of the whole chunk
-while holding only one block in memory.  Chunk boundaries depend only on
-the row count, never on the number of worker threads, so any parallel map
-over chunks reassembles to bit-identical output.  ``measures.draw_pool``
-spawns the chunk streams: every pool is drawn through it.
+each chunk from its own spawned stream.  Inside a chunk the rows come in
+blocks of ``BLOCK_ROWS``, each drawn ``SLAB_ROWS`` rows at a time from that
+chunk's generator, one slab after another, which yields exactly the rows of
+a single draw of the whole chunk while holding only one block in memory.
+A block is a ``(rows, width)`` view with contiguous columns (the transpose
+of a C-order ``(width, rows)`` buffer): consumers index columns, and each
+block has a fresh buffer, so a caller may keep it.  Chunk boundaries depend
+only on the row count, never on the number of worker threads, so any
+parallel map over chunks reassembles to bit-identical output.
+``measures.draw_pool`` spawns the chunk streams: every pool is drawn
+through it.
 
 :func:`ordered_map` is the one parallel map of the package.  It runs the
 chain experiment's replicates, and inside each replicate the chunks of its
@@ -29,7 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 CHUNK_ROWS = 1 << 16
-BLOCK_ROWS = 1 << 12  # rows per draw inside a chunk; divides CHUNK_ROWS
+BLOCK_ROWS = 1 << 12  # rows per block inside a chunk; divides CHUNK_ROWS
+SLAB_ROWS = 1 << 8  # rows per generator call inside a block; divides BLOCK_ROWS
 
 
 def _label_key(label) -> int:

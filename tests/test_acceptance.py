@@ -8,6 +8,7 @@ rest complete in well under a minute combined.
 
 import json
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -269,7 +270,8 @@ def test_criterion_08_tv_chain():
         for rep in range(replicates):
             seed = derive_seed(0, "acceptance-chain", name, rep)
             rows = run_chain_replicate(
-                lambda n: builder(fam, n), fam, n_grid, 1_000_000, seed
+                lambda n: builder(fam, n), fam, n_grid, 1_000_000, seed,
+                threads=os.cpu_count() or 1,
             )
             for idx, row in enumerate(rows):
                 tv_rows[rep, idx] = row.d_tv_hat

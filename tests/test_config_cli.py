@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -346,8 +347,11 @@ def test_cli_non_finite_or_tiny_runs_exit_3(tmp_path, argv, record):
     else:
         argv = argv + ["--out", str(out / "bound.csv")]
         out.mkdir()
-    assert run_cli(*[a.format(cfg=cfg) for a in argv]) == EXIT_PRECONDITION
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*[a.format(cfg=cfg) for a in argv]) == EXIT_PRECONDITION
     assert list(out.iterdir()) == []
+    assert [str(w.message) for w in caught] == []
 
 
 def test_run_single_replicate_bytes_do_not_depend_on_threads(tmp_path):

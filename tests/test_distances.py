@@ -212,6 +212,13 @@ def test_empty_sample_set_rejected():
         SampleSet(np.array([]))
 
 
+@pytest.mark.parametrize("values", [[0.0, math.nan], [math.inf], [1.0, -math.inf]],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_sample_set_rejected(values):
+    with pytest.raises(PreconditionError, match="non-finite sample value"):
+        SampleSet(values)
+
+
 def test_custom_law_must_normalize():
     with pytest.raises(PreconditionError):
         AnalyticLaw.from_density(lambda x: np.full_like(np.asarray(x, float), 2.0),

@@ -22,7 +22,7 @@ from gamma_lab.measures import (
     variance,
 )
 from gamma_lab.poly import Polynomial, variables
-from gamma_lab.sampling import BLOCK_ROWS, CHUNK_ROWS, generator, substream
+from gamma_lab.sampling import BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, generator, substream
 
 FAMILIES = [gaussian(), gamma(1), gamma(2), beta(1, 1), beta(2, 2), beta(2, 3)]
 
@@ -251,17 +251,23 @@ def test_gamma_sampler_matches_scipy_law():
 @pytest.mark.parametrize("family", [gaussian(), gamma(2), beta(2, 2)],
                          ids=["gaussian", "gamma2", "beta22"])
 def test_block_draws_equal_one_draw_per_chunk(family):
-    # Drawing a chunk BLOCK_ROWS rows at a time from its generator yields
-    # bit for bit the rows of one draw of the whole chunk.
-    n, width = CHUNK_ROWS + BLOCK_ROWS + 123, 5
-    pool = draw_pool(family, width, n, substream(4, "blocks"))
-    children = substream(4, "blocks").spawn(len(pool))
-    assert [(lo, hi) for lo, hi, _ in pool] == [(0, CHUNK_ROWS), (CHUNK_ROWS, n)]
-    for (lo, hi, blocks), child in zip(pool, children):
-        drawn = list(blocks)
-        edges = [(a, b) for a, b, _ in drawn]
-        assert edges[0][0] == lo and edges[-1][1] == hi
-        assert all(b - a <= BLOCK_ROWS for a, b in edges)
-        assert all(b == c for (_, b), (c, _) in zip(edges, edges[1:]))
-        whole = family.draw(generator(child), (hi - lo, width))
-        assert np.array_equal(np.concatenate([x for _, _, x in drawn]), whole)
+    # Drawing a chunk BLOCK_ROWS rows at a time, each block SLAB_ROWS rows at
+    # a time, from its generator yields bit for bit the rows of one draw of
+    # the whole chunk.  The last block holds a partial slab.
+    n = CHUNK_ROWS + BLOCK_ROWS + SLAB_ROWS + 123
+    for width in (5, 1):
+        pool = draw_pool(family, width, n, substream(4, "blocks"))
+        children = substream(4, "blocks").spawn(len(pool))
+        assert [(lo, hi) for lo, hi, _ in pool] == [(0, CHUNK_ROWS), (CHUNK_ROWS, n)]
+        for (lo, hi, blocks), child in zip(pool, children):
+            drawn = list(blocks)
+            edges = [(a, b) for a, b, _ in drawn]
+            assert edges[0][0] == lo and edges[-1][1] == hi
+            assert all(b - a <= BLOCK_ROWS for a, b in edges)
+            assert all(b == c for (_, b), (c, _) in zip(edges, edges[1:]))
+            # column-major (rows, width) blocks, each on its own buffer
+            assert all(x.shape == (b - a, width) for a, b, x in drawn)
+            assert all(x.flags.f_contiguous for _, _, x in drawn)
+            assert not np.shares_memory(drawn[0][2], drawn[-1][2])
+            whole = family.draw(generator(child), (hi - lo, width))
+            assert np.array_equal(np.concatenate([x for _, _, x in drawn]), whole)

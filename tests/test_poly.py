@@ -153,6 +153,15 @@ def test_evaluate_batch_matches_evaluate(p):
         assert val == pytest.approx(float(p.evaluate(tuple(row))), rel=1e-12, abs=1e-12)
 
 
+@given(polynomials(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_evaluate_batch_does_not_depend_on_memory_order(p, rows, seed):
+    # Pool blocks are column-major; the evaluator must give the same bits.
+    p = p + Polynomial(3, {((1, 2), (3, 3)): Fraction(-7, 3), (): Fraction(5, 2)})
+    x = np.random.default_rng(seed).standard_normal((rows, 3))
+    c_order, f_order = np.ascontiguousarray(x), np.asfortranarray(x)
+    assert np.array_equal(p.evaluate_batch(c_order), p.evaluate_batch(f_order))
+
+
 # -- JSON text format --------------------------------------------------------
 
 
