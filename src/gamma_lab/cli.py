@@ -98,11 +98,20 @@ def _finite(value, what: str, kind=float):
     """value as a finite float, or as an exact int for kind=int; else ConfigError."""
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number) or (isinstance(value, float) and number != value):
+        ok = math.isfinite(number) and not (
+            isinstance(value, float) and number != value
+        )
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int beyond float
+        ok = False
+    if not ok:
         raise ConfigError(f"{what} must be a finite {kind.__name__}, got {value!r}")
     return number
+
+
+def _finite_list(text: str, what: str) -> np.ndarray:
+    """A comma-separated list of finite floats; any bad item is a ConfigError."""
+    return np.asarray([_finite(item, f"item {i} of {what}")
+                       for i, item in enumerate(text.split(","), 1)])
 
 
 def _read_poly(path: str, exact: bool | None) -> Polynomial:
@@ -244,7 +253,11 @@ def _cmd_distance(args) -> int:
 def _cmd_cw_check(args) -> int:
     q = _read_poly(args.poly, None)
     family = _family_from_args(args)
-    alphas = np.asarray([float(a) for a in args.alphas.split(",")])
+    alphas = _finite_list(args.alphas, "--alphas")
+    if args.stability_factor is not None and args.stability_factor < 1:
+        raise ConfigError(
+            f"--stability-factor must be >= 1, got {args.stability_factor}"
+        )
     report = carbery_wright_check(
         q, ProductMeasure(family, q.dim), alphas, args.samples, args.seed,
         stability_factor=args.stability_factor,
@@ -265,11 +278,7 @@ def _cmd_smoothed(args) -> int:
     q = _read_poly(args.poly, None)
     family = _family_from_args(args)
     mu = ProductMeasure(family, q.dim)
-    eps = (
-        np.asarray([float(e) for e in args.eps.split(",")])
-        if args.eps
-        else DEFAULT_EPS_GRID
-    )
+    eps = _finite_list(args.eps, "--eps") if args.eps is not None else DEFAULT_EPS_GRID
     est, se = smoothed_indicator_functional(q, mu, eps, args.samples, args.seed)
     deg = q.degree() or 1
     ratios = est / eps ** (1.0 / (2 * deg + 1))

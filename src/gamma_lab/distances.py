@@ -137,8 +137,10 @@ class AnalyticLaw:
 
     @classmethod
     def gaussian(cls, mu: float = 0.0, sigma: float = 1.0) -> "AnalyticLaw":
-        if sigma <= 0:
-            raise PreconditionError("sigma must be positive")
+        if not (sigma > 0 and math.isfinite(1.0 / (sigma * math.sqrt(2 * math.pi)))):
+            raise PreconditionError(
+                f"sigma must be positive with a finite peak density, got {sigma}"
+            )
         # 12-sigma clipping leaves ~1e-33 of mass outside, far below tolerances.
         return cls(
             "gaussian",
@@ -232,9 +234,11 @@ def _sign_change_roots(fn, lo: float, hi: float, npts: int) -> np.ndarray:
     vals = np.asarray(fn(grid), dtype=float)
     sign = np.sign(vals)
     idx = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    # disp=False: a bracket brentq cannot shrink to xtol (a jump of fn on a
+    # wide grid) yields its last estimate, still inside the bracket.
     roots = [
         optimize.brentq(lambda t: float(fn(np.asarray(t))), grid[i], grid[i + 1],
-                        xtol=1e-13)
+                        xtol=1e-13, disp=False)
         for i in idx
     ]
     # Exact zeros on the grid count as crossings too.

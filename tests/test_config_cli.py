@@ -1,11 +1,15 @@
 """Config schema, CLI subcommands, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gamma_lab.cli import (
     EXIT_CONFIG,
@@ -404,6 +408,28 @@ def test_cli_smoothed_functional(tmp_path):
         assert v == pytest.approx(e / (1 + e), abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["cw-check", "--alphas", ""],
+    ["cw-check", "--alphas", "0.1,,1"],
+    ["cw-check", "--alphas", "0.1,nan"],
+    ["smoothed-functional", "--eps", "x"],
+    ["smoothed-functional", "--eps", "0.1,1e400"],
+    ["cw-check", "--stability-factor", "0"],
+    ["cw-check", "--stability-factor", "-3"],
+], ids=["alphas-empty", "alphas-empty-item", "alphas-nan", "eps-word",
+        "eps-overflow", "stability-0", "stability-negative"])
+def test_cli_bad_sweep_options_exit_2(tmp_path, capsys, argv):
+    qfile = tmp_path / "q.json"
+    qfile.write_text(Polynomial.variable(1, 1).to_json())
+    out = tmp_path / "out.csv"
+    code = run_cli(*argv, "--poly", str(qfile), "--family", "gaussian",
+                   "--samples", "100", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert argv[1] in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # -- tv-bound subcommands ---------------------------------------------------------
 
 
@@ -507,3 +533,90 @@ def test_emit_plot_non_numeric(tmp_path):
     csv = tmp_path / "t.csv"
     csv.write_text("a,b\n1,hello\n")
     assert run_cli("emit-plot", str(csv), "--columns", "b") == EXIT_CONFIG
+
+
+# -- CLI argument fuzzing -------------------------------------------------------------
+
+# Number-like text, well-formed or not, for options and list items.
+NUMBER_TEXT = st.one_of(
+    st.integers(-5, 2000).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "0.1", "1", "1e400", "-0", "2/3", "1_0", " 3 "]),
+)
+NUMBER_LIST = st.lists(NUMBER_TEXT, max_size=4).map(",".join)
+SAMPLES = st.integers(-2, 3000).map(str)
+
+
+@st.composite
+def _family_options(draw):
+    kind = draw(st.sampled_from(["gaussian", "gamma", "beta"]))
+    options = ["--family", kind]
+    for name in {"gaussian": (), "gamma": ("--r",), "beta": ("--a", "--b")}[kind]:
+        options += [name, draw(st.one_of(st.sampled_from(["1", "2", "5/2", "3.0"]),
+                                         NUMBER_TEXT))]
+    return options
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(
+        ["cw-check", "smoothed-functional", "tv-bound", "distance"]))
+    if command == "cw-check":
+        argv = [command, "--poly", "{q}", *draw(_family_options()),
+                "--samples", draw(SAMPLES), "--alphas", draw(NUMBER_LIST)]
+        if draw(st.booleans()):
+            argv += ["--stability-factor", draw(st.integers(-2, 3).map(str))]
+        return argv
+    if command == "smoothed-functional":
+        return [command, "--poly", "{q}", *draw(_family_options()),
+                "--samples", draw(SAMPLES), "--eps", draw(NUMBER_LIST)]
+    if command == "tv-bound":
+        value = st.one_of(st.floats(allow_nan=False), st.integers(-10, 10),
+                          st.integers(min_value=2**1100, max_value=2**1100 + 1),
+                          st.text(max_size=3))
+        keys = ["d_fm", "kappa", "degree", "budget_sup", "alpha", "eps"]
+        record = {k: draw(value) for k in keys if draw(st.integers(0, 9))}
+        return [command, draw(st.sampled_from(["evaluate", "optimize"])),
+                "--config", "{cfg}", json.dumps(record)]
+    law = st.one_of(
+        st.builds("analytic:gaussian:mu={}:sigma={}".format, NUMBER_TEXT, NUMBER_TEXT),
+        st.builds("analytic:cos2:n={}".format, NUMBER_TEXT),
+        st.just("analytic:uniform"),
+        st.builds("poly:@{{q}}:family=gamma:r={}:n={}".format, NUMBER_TEXT, SAMPLES),
+    )
+    return [command, "--metric", draw(st.sampled_from(["kol", "fm", "tv"])),
+            "--left", draw(law), "--right", draw(law)]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    (path / "q.json").write_text((x1 + x1 * x2).to_json())
+    return path
+
+
+@settings(max_examples=120)
+@given(argv=_cli_argv())
+@example(argv=["cw-check", "--poly", "{q}", "--family", "gaussian",
+               "--samples", "100", "--alphas", ""])
+@example(argv=["cw-check", "--poly", "{q}", "--family", "gaussian",
+               "--samples", "100", "--alphas", "0.1,,1"])
+@example(argv=["smoothed-functional", "--poly", "{q}", "--family", "gaussian",
+               "--samples", "100", "--eps", "x"])
+def test_cli_fuzzed_arguments_exit_with_documented_code(cli_dir, argv):
+    # Any argument vector runs or exits 2, 3 or 4 with a message: never a
+    # Python traceback (an uncaught exception fails this test).
+    if argv[0] == "tv-bound":
+        *argv, record = argv
+        (cli_dir / "cfg.json").write_text(record)
+    argv = [a.format(q=cli_dir / "q.json", cfg=cli_dir / "cfg.json") for a in argv]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = run_cli(*argv, "--out", str(cli_dir / "out.csv"))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+

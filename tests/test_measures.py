@@ -9,6 +9,8 @@ from scipy import integrate, stats
 
 from gamma_lab.errors import PreconditionError
 from gamma_lab.measures import (
+    BETA_ORDER_MAX,
+    GAMMA_SUM_MAX,
     ProductMeasure,
     basis,
     beta,
@@ -228,15 +230,68 @@ def test_beta_uniform_support_and_mean():
 KS_CRIT_1PCT = 1.6276  # asymptotic Kolmogorov distribution, alpha = 0.01
 
 
-@pytest.mark.parametrize("fam", [gaussian(), gamma(2), beta(2, 3)])
-def test_sampler_law_one_sample_ks(fam):
-    n = 1_000_000
-    vals = np.sort(sample(ProductMeasure(fam, 1), n, seed=31)[:, 0])
+def _ks_statistic(fam, n, seed):
+    """One-sample Kolmogorov-Smirnov statistic of n pooled draws against fam.cdf."""
+    vals = np.sort(sample(ProductMeasure(fam, 1), n, seed=seed)[:, 0])
     cdf = np.asarray(fam.cdf(vals), dtype=float)
     hi = np.max(np.arange(1, n + 1) / n - cdf)
     lo = np.max(cdf - np.arange(0, n) / n)
-    d = max(hi, lo)
-    assert d < KS_CRIT_1PCT / math.sqrt(n)
+    return max(hi, lo)
+
+
+@pytest.mark.parametrize("fam", [gaussian(), gamma(2), beta(2, 3)])
+def test_sampler_law_one_sample_ks(fam):
+    n = 1_000_000
+    assert _ks_statistic(fam, n, seed=31) < KS_CRIT_1PCT / math.sqrt(n)
+
+
+# One parameter set per draw path: order statistics of uniforms for beta with
+# a + b - 1 <= BETA_ORDER_MAX, sums of exponentials for gamma with integer
+# r <= GAMMA_SUM_MAX, numpy's beta/gamma samplers past the caps.
+DRAW_PATHS = {
+    "beta11-order": beta(1, 1),
+    "beta13-order": beta(1, 3),
+    "beta32-order": beta(3, 2),
+    "gamma1-sum": gamma(1),
+    "gamma3-sum": gamma(3),
+    "beta34-numpy": beta(3, 4),
+    "gamma4-numpy": gamma(4),
+    "gamma5/2-numpy": gamma(Fraction(5, 2)),
+}
+
+
+@pytest.mark.parametrize("fam", DRAW_PATHS.values(), ids=DRAW_PATHS.keys())
+def test_sampler_paths_one_sample_ks(fam):
+    n = 1_000_000
+    assert _ks_statistic(fam, n, seed=31) < KS_CRIT_1PCT / math.sqrt(n)
+
+
+def test_draw_path_dispatch():
+    # The caps pick the path: past them, and for the gaussian, draws are
+    # numpy's own stream; inside them, the exact constructions.
+    assert BETA_ORDER_MAX == 5 and GAMMA_SUM_MAX == 3
+    shape = (300, 4)
+
+    def rng():
+        return generator(substream(8, "paths"))
+
+    assert np.array_equal(gaussian().draw(rng(), shape), rng().standard_normal(shape))
+    for fam in (beta(3, 4), beta(Fraction(5, 2), 2), beta(1, 5.5)):
+        numpy_beta = 1.0 - 2.0 * rng().beta(float(fam.a), float(fam.b), size=shape)
+        assert np.array_equal(fam.draw(rng(), shape), numpy_beta)
+    for fam in (gamma(4), gamma(Fraction(5, 2))):
+        assert np.array_equal(fam.draw(rng(), shape), rng().gamma(float(fam.r), size=shape))
+    u = rng().random((*shape, 4))
+    assert np.array_equal(beta(3, 2).draw(rng(), shape), 1.0 - 2.0 * np.sort(u)[..., 2])
+    e = rng().standard_exponential((*shape, 3))
+    assert np.array_equal(gamma(3).draw(rng(), shape), e[..., 0] + e[..., 1] + e[..., 2])
+
+
+def test_integer_valued_float_parameters_draw_the_same_pool():
+    # Dispatch is on the parameter's value, not its type.
+    for exact, floating in ((beta(2, 2), beta(2.0, 2.0)), (gamma(2), gamma(2.0))):
+        pools = [sample(ProductMeasure(fam, 3), 5000, seed=12) for fam in (exact, floating)]
+        assert pools[0].tobytes() == pools[1].tobytes()
 
 
 def test_gamma_sampler_matches_scipy_law():
@@ -248,8 +303,9 @@ def test_gamma_sampler_matches_scipy_law():
 # -- pool draws ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", [gaussian(), gamma(2), beta(2, 2)],
-                         ids=["gaussian", "gamma2", "beta22"])
+@pytest.mark.parametrize(
+    "family", [gaussian(), gamma(2), beta(2, 2), beta(3, 2), gamma(Fraction(5, 2))],
+    ids=["gaussian", "gamma2", "beta22", "beta32", "gamma5/2"])
 def test_block_draws_equal_one_draw_per_chunk(family):
     # Drawing a chunk BLOCK_ROWS rows at a time, each block SLAB_ROWS rows at
     # a time, from its generator yields bit for bit the rows of one draw of
