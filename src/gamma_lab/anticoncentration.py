@@ -36,6 +36,9 @@ from .operators import DiffusionOperator, carre_du_champ
 from .poly import Polynomial
 
 DEFAULT_EPS_GRID = np.logspace(-6, 0, 25)
+# Smallest stability_factor the config and the CLI accept: the refined run
+# must be larger than the first.
+MIN_STABILITY_FACTOR = 2
 
 
 @dataclass(frozen=True)

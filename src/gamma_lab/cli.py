@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__
 from .anticoncentration import (
     DEFAULT_EPS_GRID,
+    MIN_STABILITY_FACTOR,
     carbery_wright_check,
     smoothed_indicator_functional,
 )
@@ -254,9 +255,10 @@ def _cmd_cw_check(args) -> int:
     q = _read_poly(args.poly, None)
     family = _family_from_args(args)
     alphas = _finite_list(args.alphas, "--alphas")
-    if args.stability_factor is not None and args.stability_factor < 1:
+    if args.stability_factor is not None and args.stability_factor < MIN_STABILITY_FACTOR:
         raise ConfigError(
-            f"--stability-factor must be >= 1, got {args.stability_factor}"
+            f"--stability-factor must be >= {MIN_STABILITY_FACTOR}, "
+            f"got {args.stability_factor}"
         )
     report = carbery_wright_check(
         q, ProductMeasure(family, q.dim), alphas, args.samples, args.seed,

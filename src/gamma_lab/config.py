@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .anticoncentration import MIN_STABILITY_FACTOR
 from .errors import ConfigError
 from .measures import MeasureFamily, beta, gamma, gaussian
 
@@ -222,7 +223,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if "stability_factor" in data:
             sf = data["stability_factor"]
             if sf is not None:
-                sf = _require_int(data, "stability_factor", minimum=2)
+                sf = _require_int(data, "stability_factor", minimum=MIN_STABILITY_FACTOR)
             kwargs["stability_factor"] = sf
 
     return ExperimentConfig(

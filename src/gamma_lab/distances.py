@@ -10,10 +10,12 @@ for its input combination and records the method in the returned
   analytic laws the sup is located at sign changes of the density
   difference and refined by bracketed root finding.
 * total variation -- analytic mode integrates |f - g|/2 piecewise between
-  density crossings (adaptive quadrature, tol ~1e-6); empirical mode is the
-  L1/2 distance between common-bin histograms with ceil(n^(1/3)) bins over
-  the pooled range.  The histogram value is an estimator of an
-  (in general) non-estimable metric and is tagged as such.
+  the laws' interval edges and density crossings (adaptive quadrature, tol
+  ~1e-6; a quadrature that does not converge is a precondition error);
+  empirical mode is the L1/2 distance between common-bin histograms with
+  ceil(n^(1/3)) bins over the pooled range.  The histogram value is an
+  estimator of an (in general) non-estimable metric and is tagged as such;
+  :func:`histogram_tv_floor` gives its noise floor.
 * Fortet-Mourier -- the dual sup over |h| <= 1, Lip(h) <= 1 is solved
   exactly on a uniform grid of the pooled support (2048 points, 5% range
   expansion) by dynamic programming over concave piecewise-linear value
@@ -90,7 +92,7 @@ class AnalyticLaw:
         self.grid_hint = int(grid_hint)
         self.params = dict(params or {})
         if check:
-            mass, _ = integrate.quad(
+            mass, _ = _quad(
                 lambda t: float(self.pdf(np.asarray(t))),
                 *self.interval,
                 limit=max(200, self.grid_hint // 8),
@@ -141,11 +143,17 @@ class AnalyticLaw:
             raise PreconditionError(
                 f"sigma must be positive with a finite peak density, got {sigma}"
             )
+
+        def pdf(x):
+            # Far from mu the square overflows to inf, and the density to 0.
+            with np.errstate(over="ignore"):
+                z = (np.asarray(x) - mu) / sigma
+                return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
+
         # 12-sigma clipping leaves ~1e-33 of mass outside, far below tolerances.
         return cls(
             "gaussian",
-            pdf=lambda x: np.exp(-0.5 * ((np.asarray(x) - mu) / sigma) ** 2)
-            / (sigma * math.sqrt(2 * math.pi)),
+            pdf=pdf,
             cdf=lambda x: special.ndtr((np.asarray(x) - mu) / sigma),
             interval=(mu - 12 * sigma, mu + 12 * sigma),
             params={"mu": mu, "sigma": sigma},
@@ -164,9 +172,7 @@ class AnalyticLaw:
 
             def cdf(x, _lo=lo, _pdf=pdf):
                 xs = np.atleast_1d(np.asarray(x, dtype=float))
-                out = np.array(
-                    [integrate.quad(_pdf, _lo, t, limit=200)[0] for t in xs]
-                )
+                out = np.array([_quad(_pdf, _lo, t, limit=200)[0] for t in xs])
                 return out if np.ndim(x) else float(out[0])
 
         return cls("custom", pdf, cdf, interval, grid_hint=grid_hint)
@@ -261,13 +267,19 @@ def total_variation(x: Input, y: Input, bins: int | None = None) -> DistanceRepo
 
 
 def _tv_analytic(x: AnalyticLaw, y: AnalyticLaw) -> DistanceReport:
-    lo = min(x.interval[0], y.interval[0])
-    hi = max(x.interval[1], y.interval[1])
+    # Each law's own interval edges cut the integration, so a law much
+    # narrower than the other is never lost between points of a search grid.
+    edges = sorted({*x.interval, *y.interval})
     diff = lambda t: x.pdf(t) - y.pdf(t)
-    total, err = _integrate_abs(diff, lo, hi, max(x.grid_hint, y.grid_hint))
+    npts = max(x.grid_hint, y.grid_hint)
+    total = err = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        piece, perr = _integrate_abs(diff, a, b, npts)
+        total += piece
+        err += perr
     return DistanceReport(
         "tv", 0.5 * total, "analytic", uncertainty=0.5 * err,
-        params={"interval": (lo, hi)},
+        params={"interval": (edges[0], edges[-1])},
     )
 
 
@@ -280,12 +292,19 @@ def _integrate_abs(fn, lo: float, hi: float, npts: int) -> tuple[float, float]:
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
             continue
-        piece, perr = integrate.quad(
-            lambda t: float(fn(np.asarray(t))), a, b, limit=200
-        )
+        piece, perr = _quad(lambda t: float(fn(np.asarray(t))), a, b, limit=200)
         total += abs(piece)
         err += perr
     return total, err
+
+
+def _quad(fn, a: float, b: float, limit: int) -> tuple[float, float]:
+    """scipy's ``quad`` of fn over [a, b]; PreconditionError if it does not converge."""
+    value, err, _, *failure = integrate.quad(fn, a, b, limit=limit, full_output=1)
+    if failure:
+        reason = " ".join(failure[0].split())
+        raise PreconditionError(f"quadrature over [{a}, {b}] did not converge: {reason}")
+    return value, err
 
 
 def default_bin_count(n: int) -> int:
@@ -310,6 +329,25 @@ def _tv_histogram(x: SampleSet, y: SampleSet, bins: int | None) -> DistanceRepor
     )
     return DistanceReport("tv", est, "histogram", uncertainty=se,
                           params={"bins": bins, "range": (lo, hi)})
+
+
+def histogram_tv_floor(y: SampleSet, report: DistanceReport) -> float:
+    """The noise floor of a histogram TV ``report`` against the reference ``y``.
+
+    The histogram TV between the two halves of y on the report's own bins,
+    divided by sqrt(2): both halves share y's law, so their distance is pure
+    histogram noise, and halving the samples scales that noise by sqrt(2).
+    An estimate at or below the floor cannot be told from zero.
+    """
+    if "range" not in report.params or y.n < 2:
+        return 0.0  # a single-point pooled range or one sample: no noise to see
+    edges = np.linspace(*report.params["range"], report.params["bins"] + 1)
+    half = y.n // 2
+    counts = [
+        np.histogram(part, bins=edges)[0] / part.size
+        for part in (y.values[:half], y.values[half:])
+    ]
+    return 0.5 * float(np.abs(counts[0] - counts[1]).sum()) / math.sqrt(2.0)
 
 
 def _tv_mixed(x: SampleSet, law: AnalyticLaw, bins: int | None) -> DistanceReport:

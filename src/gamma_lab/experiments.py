@@ -59,18 +59,6 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("GAMMA_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"GAMMA_LAB_THREADS must be an integer: {env!r}") from exc
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
@@ -111,9 +99,14 @@ def _chain_builder(config: ExperimentConfig):
     return (lambda n: builder_fn(family, n)), config.n_grid
 
 
+# Per-row estimator diagnostics of a chain run, written to the manifest only.
+_DIAGNOSTIC_FIELDS = ("n", "d_tv_hat", "d_tv_floor", "above_floor", "bound",
+                      "vacuous", "at_grid_edge", "tv_bins", "fm_step")
+
+
 def _run_chain(
     config: ExperimentConfig, out_dir: str, threads: int
-) -> tuple[list[str], dict]:
+) -> tuple[list[str], dict, list[dict]]:
     builder, n_grid = _chain_builder(config)
     replicate_s = [0.0] * config.replicates
     pool_threads = threads // min(threads, config.replicates)
@@ -142,6 +135,11 @@ def _run_chain(
                 rows[-1].insert(0, rep)
     if config.replicates > 1:
         header = ["replicate"] + header
+    diagnostics = [
+        {"replicate": rep, **{k: getattr(r, k) for k in _DIAGNOSTIC_FIELDS}}
+        for rep, chain in enumerate(results)
+        for r in chain
+    ]
     path = os.path.join(out_dir, f"{config.scenario}.csv")
     write_csv(path, header, rows)
 
@@ -154,7 +152,8 @@ def _run_chain(
     summary = os.path.join(out_dir, f"{config.scenario}_summary.csv")
     write_csv(summary, ["n", "d_fm_median", "d_tv_median", "bound_median"],
               summary_rows)
-    return [path, summary], {"replicates_s": replicate_s, "pool_threads": pool_threads}
+    timings = {"replicates_s": replicate_s, "pool_threads": pool_threads}
+    return [path, summary], timings, diagnostics
 
 
 def _run_cw_sweep(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict]:
@@ -186,17 +185,18 @@ def run_experiment(
     The output directory is created only after validation has passed, so a
     rejected config leaves no files behind.
     """
-    threads = _thread_count(threads)
+    threads = 1 if threads is None else max(1, threads)
     out_dir = out_dir or config.out or "."
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
 
+    diagnostics = None
     if config.scenario == "cos2_counterexample":
         outputs, timings = _run_cos2(config, out_dir)
     elif config.scenario == "cw_sweep":
         outputs, timings = _run_cw_sweep(config, out_dir)
     else:
-        outputs, timings = _run_chain(config, out_dir, threads)
+        outputs, timings, diagnostics = _run_chain(config, out_dir, threads)
 
     timings["total_s"] = round(time.time() - started, 3)
     manifest = {
@@ -208,6 +208,8 @@ def run_experiment(
         "timings": timings,
         "outputs": [os.path.basename(p) for p in outputs],
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

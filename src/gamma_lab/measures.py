@@ -26,7 +26,7 @@ moment-based three-term recurrence
     a_k = E[x p_k^2] / E[p_k^2],   b_k = E[p_k^2] / E[p_{k-1}^2],
 
 which is exact in rational mode and uniform across families; squared norms
-are exposed separately so both monic and orthonormal views are available.
+are exposed separately (``BasisPolynomial.norm2``).
 
 Every Monte-Carlo pool is drawn by :func:`draw_pool`; every column of one
 polynomial over a pool is computed by :func:`functional_values`.
@@ -35,24 +35,27 @@ polynomial over a pool is computed by :func:`functional_values`.
 numpy's sampler (Devroye, *Non-Uniform Random Variate Generation*, 1986):
 
 * gaussian -- ``rng.standard_normal``;
-* beta(a, b), integer-valued a, b with a + b - 1 <= ``BETA_ORDER_MAX`` (5)
+* beta(a, b), integer-valued a, b with a + b - 1 <= ``BETA_ORDER_MAX`` (6)
   -- B is the a-th smallest of a + b - 1 uniforms from ``rng.random``, one
   element's uniforms on the trailing axis, picked by a min/max
   compare-exchange network of min(a, b) passes;
 * gamma(r), integer-valued r <= ``GAMMA_SUM_MAX`` (3) -- the sum of r
   standard exponentials from ``rng.standard_exponential``, on the trailing
   axis (gamma(1) is numpy's own gamma(1) stream);
-* every other beta or gamma, e.g. beta(3, 4), beta(5/2, 2), gamma(4),
+* every other beta or gamma, e.g. beta(4, 4), beta(5/2, 2), gamma(4),
   gamma(5/2) -- ``rng.beta`` / ``rng.gamma``.
 
 The path depends on the parameter's value, not its type: beta(2, 2) and
 beta(2.0, 2.0) draw the same bytes.  The caps sit at the measured
-crossover.  Median seconds for 32768 x 64 draws in 256-row slabs on Philox,
-construction vs numpy, 2-core Xeon: beta(2,2) 0.07 vs 0.19, beta(2,4) 0.17
-vs 0.25, beta(3,3) 0.14 vs 0.19; at six uniforms beta(2,5) 0.16 vs 0.19,
-beta(3,4) 0.18 vs 0.18, beta(1,6) 0.13 vs 0.13 (numpy faster in 12 of 15
-runs); beta(4,4) 0.24 vs 0.19.  gamma(2) 0.06 vs 0.09, gamma(3) 0.09 vs
-0.10, gamma(4) 0.13 vs 0.10.
+crossover on SFC64 streams, as the pool draws: median seconds for 32768 x
+64 values, the construction in (64, 256) slabs vs numpy in (64, 4096)
+blocks, 15 interleaved runs per pair, 2-core Xeon.  Six uniforms win every
+run: beta(3,4) 0.08-0.10 vs 0.14-0.15, beta(4,3) 0.09 vs 0.14, beta(2,5)
+0.07-0.08 vs 0.13-0.14, beta(1,6) 0.05-0.06 vs 0.10-0.11.  At seven,
+beta(4,4) is a coin toss (0.14-0.15 vs 0.13-0.16; faster in 14, 0 and 12
+of 15 runs over three sets), and at eight beta(4,5) loses (0.17 vs 0.14).
+gamma(3) 0.04-0.05 vs 0.05-0.06 (faster in 13 and 15 of 15), gamma(4)
+0.05-0.06 vs 0.05-0.06 (faster in 3 and 5 of 15).
 """
 
 from __future__ import annotations
@@ -161,19 +164,44 @@ class MeasureFamily:
         # x = 1 - 2B:  P(x <= v) = P(B >= (1-v)/2)
         return stats.beta.sf((1 - x) / 2, float(self.a), float(self.b))
 
-    def draw(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-        """``shape`` i.i.d. draws; the module docstring gives the method per family."""
+    def draw(
+        self, rng: np.random.Generator, shape: tuple[int, ...], order: str = "C"
+    ) -> np.ndarray:
+        """``shape`` i.i.d. draws; the module docstring gives the method per family.
+
+        The stream fills the result in ``order``: row-major for "C", and for
+        "F" column-major, i.e. the transpose of the C draw of the reversed
+        shape, a Fortran-contiguous array.
+        """
+        if order == "F":
+            return self._draw_c(rng, tuple(shape)[::-1]).T
+        return self._draw_c(rng, shape)
+
+    def _draw_c(self, rng: np.random.Generator, shape) -> np.ndarray:
+        terms = self._construction_terms()
         if self.kind == "gaussian":
             return rng.standard_normal(shape)
         if self.kind == "gamma":
-            r = _small_int(self.r, GAMMA_SUM_MAX)
-            if r is None:
+            if terms is None:
                 return rng.gamma(float(self.r), size=shape)
-            return _exponential_sum(rng.standard_exponential((*shape, r)))
-        a, b = _small_int(self.a, BETA_ORDER_MAX), _small_int(self.b, BETA_ORDER_MAX)
-        if a is None or b is None or a + b - 1 > BETA_ORDER_MAX:
+            return _exponential_sum(rng.standard_exponential((*shape, terms)))
+        if terms is None:
             return 1.0 - 2.0 * rng.beta(float(self.a), float(self.b), size=shape)
-        return 1.0 - 2.0 * _order_statistic(rng.random((*shape, a + b - 1)), a)
+        return 1.0 - 2.0 * _order_statistic(rng.random((*shape, terms)), int(self.a))
+
+    def _construction_terms(self) -> int | None:
+        """Variates per value on the trailing axis of an exact construction.
+
+        a + b - 1 uniforms for a small integer beta, r exponentials for a
+        small integer gamma; None where numpy's own sampler draws.
+        """
+        if self.kind == "gamma":
+            return _small_int(self.r, GAMMA_SUM_MAX)
+        if self.kind == "beta":
+            a, b = _small_int(self.a, BETA_ORDER_MAX), _small_int(self.b, BETA_ORDER_MAX)
+            if a is not None and b is not None and a + b - 1 <= BETA_ORDER_MAX:
+                return a + b - 1
+        return None
 
     def mean(self) -> Coef:
         return raw_moment(self, 1)
@@ -290,10 +318,6 @@ class BasisPolynomial:
     poly: Polynomial  # univariate, dim 1
     norm2: Coef  # E[poly^2] under the family measure
 
-    def orthonormal(self) -> Polynomial:
-        """Unit-norm version (double mode: the norm is generally irrational)."""
-        return self.poly.to_double().scale(1.0 / math.sqrt(float(self.norm2)))
-
 
 _BASIS_CACHE: dict[MeasureFamily, list[BasisPolynomial]] = {}
 _BASIS_LOCK = threading.Lock()
@@ -352,7 +376,7 @@ def monomial_in_basis(family: MeasureFamily, k: int) -> tuple[tuple[int, Coef], 
 # ---------------------------------------------------------------------------
 
 
-BETA_ORDER_MAX = 5  # largest a + b - 1 drawn as an order statistic of uniforms
+BETA_ORDER_MAX = 6  # largest a + b - 1 drawn as an order statistic of uniforms
 GAMMA_SUM_MAX = 3  # largest r drawn as a sum of standard exponentials
 
 
@@ -418,16 +442,21 @@ def draw_pool(
 
 
 def _draw_blocks(family: MeasureFamily, width: int, lo: int, hi: int, rng):
+    # Each block is the .T view of a fresh C-order (width, rows) buffer: one
+    # column-major draw.  An exact construction fills the buffer SLAB_ROWS
+    # rows at a time instead, so that its per-value variates stay
+    # cache-sized: a whole-block draw of beta(2, 2) measured ~25% slower.
+    slabs = family._construction_terms() is not None
     for start in range(lo, hi, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, hi)
-        # Fill a fresh (width, rows) buffer one row slab at a time, so the
-        # transposing copy of each slab stays cache-resident; its .T view
-        # is the (rows, width) block with contiguous columns.
         rows = stop - start
+        if not slabs:
+            yield start, stop, family.draw(rng, (rows, width), order="F")
+            continue
         buf = np.empty((width, rows))
         for s in range(0, rows, SLAB_ROWS):
             e = min(s + SLAB_ROWS, rows)
-            buf[:, s:e] = family.draw(rng, (e - s, width)).T
+            buf[:, s:e] = family.draw(rng, (e - s, width), order="F").T
         yield start, stop, buf.T
 
 

@@ -1,4 +1,4 @@
-"""Reproducible random streams built on counter-based (Philox) generators.
+"""Reproducible random streams built on SFC64 generators.
 
 All randomness in the package flows from a single 64-bit master seed through
 named substreams: ``substream(seed, "chain", replicate, "pool")`` always
@@ -7,17 +7,21 @@ Labels are strings (hashed with crc32) or integers, combined into a
 ``SeedSequence`` spawn key.
 
 Sample matrices are generated in fixed-size chunks of ``CHUNK_ROWS`` rows,
-each chunk from its own spawned stream.  Inside a chunk the rows come in
-blocks of ``BLOCK_ROWS``, each drawn ``SLAB_ROWS`` rows at a time from that
-chunk's generator, one slab after another, which yields exactly the rows of
-a single draw of the whole chunk while holding only one block in memory.
-A block is a ``(rows, width)`` view with contiguous columns (the transpose
-of a C-order ``(width, rows)`` buffer): consumers index columns, and each
-block has a fresh buffer, so a caller may keep it.  Chunk boundaries depend
-only on the row count, never on the number of worker threads, so any
-parallel map over chunks reassembles to bit-identical output.
-``measures.draw_pool`` spawns the chunk streams: every pool is drawn
-through it.
+each chunk from its own spawned stream, so no generator needs to jump
+ahead: SFC64 (numpy's small fast chaotic generator) serves, and draws
+normals about 1.4x and uniforms about 2.3x faster than the counter-based
+Philox.  Inside a chunk the rows come in blocks of ``BLOCK_ROWS``, drawn
+one after another from the chunk's generator.  A block's bytes are the
+column-major fill of its own C-order ``(width, rows)`` buffer, and the
+block is that buffer's ``.T``, a ``(rows, width)`` view with contiguous
+columns: one draw of the whole buffer, or, for the exact beta and gamma
+constructions, one draw per ``SLAB_ROWS`` rows of it.  Consumers index
+columns, and each block has a fresh buffer, so a caller may keep it.  A
+block's bytes depend only on the stream, the chunk and the block index,
+and chunk boundaries depend only on the row count, never on the number of
+worker threads, so any parallel map over chunks reassembles to
+bit-identical output.  ``measures.draw_pool`` spawns the chunk streams:
+every pool is drawn through it.
 
 :func:`ordered_map` is the one parallel map of the package.  It runs the
 chain experiment's replicates, and inside each replicate the chunks of its
@@ -34,7 +38,7 @@ import numpy as np
 
 CHUNK_ROWS = 1 << 16
 BLOCK_ROWS = 1 << 12  # rows per block inside a chunk; divides CHUNK_ROWS
-SLAB_ROWS = 1 << 8  # rows per generator call inside a block; divides BLOCK_ROWS
+SLAB_ROWS = 1 << 8  # rows per construction draw inside a block; divides BLOCK_ROWS
 
 
 def _label_key(label) -> int:
@@ -54,7 +58,7 @@ def substream(seed: int, *labels) -> np.random.SeedSequence:
 
 
 def generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+    return np.random.Generator(np.random.SFC64(seed_seq))
 
 
 def derive_seed(seed: int, *labels) -> int:

@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .anticoncentration import DEFAULT_EPS_GRID, kappa_envelope
-from .distances import SampleSet, fortet_mourier, total_variation
+from .distances import SampleSet, fortet_mourier, histogram_tv_floor, total_variation
 from .errors import ConsistencyError, DegenerateFunctionalError, PreconditionError
 from .measures import (
     MeasureFamily,
@@ -67,11 +66,10 @@ class MomentBudget:
     """The integrability inputs of the total-variation bound for one Q."""
 
     e_gamma_gamma: float  # int Gamma(Gamma(Q)) dmu, exact moment engine
-    e_abs_lq: float  # int |LQ| dmu, Monte Carlo or quadrature
+    e_abs_lq: float  # int |LQ| dmu, Monte Carlo
     e_abs_lq_se: float
     var_q: float
     degenerate: bool
-    method: str
     n_mc: int = 0
 
     @property
@@ -80,72 +78,27 @@ class MomentBudget:
 
 
 def moment_budget(
-    q: Polynomial,
-    mu: ProductMeasure,
-    n: int = 1_000_000,
-    seed: int = 0,
-    method: str = "mc",
+    q: Polynomial, mu: ProductMeasure, n: int = 1_000_000, seed: int = 0
 ) -> MomentBudget:
     """Assemble the budget for one polynomial.
 
     Polynomial moments come exactly from the moment engine; E|LQ| is not a
-    polynomial moment and is estimated by Monte Carlo (default) or, in
-    dimension <= 2, by quadrature against the product density
-    (``method="quadrature"``).
+    polynomial moment and is estimated by Monte Carlo on n samples.
     """
     op = DiffusionOperator(mu.family, mu.dim)
     gamma_q = carre_du_champ(op, q)
     e_gg = float(expectation(carre_du_champ(op, gamma_q), mu))
     var_q = float(variance(q, mu))
     lq = apply_generator(op, q)
-    if method == "quadrature":
-        if mu.dim > 2:
-            raise PreconditionError("quadrature budget only supported for dim <= 2")
-        e_lq, se = _abs_expectation_quadrature(lq, mu), 0.0
-        n = 0
-    elif method == "mc":
-        vals = np.abs(functional_values(lq, mu, n, seed, "abs-moment"))
-        e_lq, se = float(vals.mean()), float(vals.std()) / math.sqrt(n)
-    else:
-        raise PreconditionError(f"unknown budget method {method!r}")
+    vals = np.abs(functional_values(lq, mu, n, seed, "abs-moment"))
     return MomentBudget(
         e_gamma_gamma=e_gg,
-        e_abs_lq=e_lq,
-        e_abs_lq_se=se,
+        e_abs_lq=float(vals.mean()),
+        e_abs_lq_se=float(vals.std()) / math.sqrt(n),
         var_q=var_q,
         degenerate=var_q == 0.0,
-        method=method,
         n_mc=n,
     )
-
-
-def _effective_interval(family: MeasureFamily) -> tuple[float, float]:
-    if family.kind == "gaussian":
-        return (-12.0, 12.0)
-    if family.kind == "gamma":
-        from scipy import stats
-
-        return (0.0, float(stats.gamma.ppf(1 - 1e-14, float(family.r))))
-    return (-1.0, 1.0)
-
-
-def _abs_expectation_quadrature(p: Polynomial, mu: ProductMeasure) -> float:
-    fam = mu.family
-    lo, hi = _effective_interval(fam)
-    if mu.dim == 1:
-        val, _ = integrate.quad(
-            lambda t: abs(float(p.evaluate_batch(np.array([[t]]))[0]))
-            * float(fam.pdf(np.asarray(t))),
-            lo, hi, limit=400,
-        )
-        return val
-    val, _ = integrate.dblquad(
-        lambda s, t: abs(float(p.evaluate_batch(np.array([[t, s]]))[0]))
-        * float(fam.pdf(np.asarray(t)))
-        * float(fam.pdf(np.asarray(s))),
-        lo, hi, lo, hi, epsabs=1e-10,
-    )
-    return val
 
 
 def hypercontractivity_ratio(q: Polynomial, mu: ProductMeasure) -> float:
@@ -240,6 +193,7 @@ def optimize_bound(
         "alpha_grid": (alpha_range[0], alpha_range[1], n_alpha),
         "eps_grid": (eps_range[0], eps_range[1], n_eps),
         "best_index": (i, j),
+        "at_grid_edge": i in (0, n_alpha - 1) or j in (0, n_eps - 1),
         "grid_min": float(totals[i, j]),
     }
     return BoundReport(
@@ -305,6 +259,11 @@ SEQUENCES = {
 
 @dataclass(frozen=True)
 class ChainRow:
+    """One chain pair; the fields after ``bound`` are diagnostics, not CSV columns.
+
+    Every field converts to a finite float.
+    """
+
     n: int
     dim: int
     d_fm: float
@@ -315,6 +274,12 @@ class ChainRow:
     alpha_star: float
     eps_star: float
     bound: float
+    d_tv_floor: float  # distances.histogram_tv_floor of the reference column
+    above_floor: bool  # d_tv_hat > d_tv_floor
+    vacuous: bool  # bound >= 1, while d_TV <= 1 always
+    at_grid_edge: bool  # the bound optimum sits on an edge of the (alpha, eps) grid
+    tv_bins: int
+    fm_step: float  # the Fortet-Mourier grid step, also its uncertainty
 
 
 def run_chain_replicate(
@@ -432,6 +397,7 @@ def run_chain_replicate(
         cur = SampleSet(f_vals[idx], seed=seed, provenance=f"chain-n={n}")
         fm = fortet_mourier(cur, ref)
         tv = total_variation(cur, ref)
+        floor = histogram_tv_floor(ref, tv)
         report = optimize_bound(fm.estimate, kappa, d, budget_sup)
         se_bound = (
             TWO_SQRT_2_OVER_PI * (report.alpha / report.eps) * lq_ses[sup_idx]
@@ -451,6 +417,10 @@ def run_chain_replicate(
                 kappa=kappa, budget=budgets[idx],
                 alpha_star=report.alpha, eps_star=report.eps,
                 bound=report.total,
+                d_tv_floor=floor, above_floor=tv.estimate > floor,
+                vacuous=report.total >= 1.0,
+                at_grid_edge=report.trace["at_grid_edge"],
+                tv_bins=tv.params["bins"], fm_step=fm.uncertainty,
             )
         )
     return rows

@@ -139,13 +139,6 @@ def test_rerun_from_manifest_byte_identical(tmp_path):
     assert record["config_hash"] == config_hash(record["config"])
 
 
-def test_run_env_threads_fallback(tmp_path, monkeypatch):
-    cfg_path = write_json(tmp_path / "cfg.json", dict(BASE_CHAIN, replicates=1))
-    monkeypatch.setenv("GAMMA_LAB_THREADS", "2")
-    out = tmp_path / "env"
-    assert run_cli("run", "--config", cfg_path, "--out", str(out)) == EXIT_OK
-
-
 def test_run_precondition_violation_leaves_no_outputs(tmp_path):
     raw = dict(BASE_CHAIN, family={"kind": "beta", "a": 0.5, "b": 2.0})
     cfg_path = write_json(tmp_path / "bad.json", raw)
@@ -275,6 +268,29 @@ def test_cli_distance_analytic(tmp_path):
     assert float(cells[1]) == pytest.approx(1 / (10 * math.pi), abs=1e-9)
 
 
+@pytest.mark.parametrize("left, right, tv", [
+    ("analytic:gaussian:mu=0:sigma=1e150", "analytic:uniform", 1.0),
+    ("analytic:gaussian:mu=0:sigma=1e-200", "analytic:gaussian:mu=0:sigma=1", 1.0),
+    ("analytic:gaussian:mu=1e15:sigma=1", "analytic:gaussian:mu=0:sigma=1", None),
+], ids=["wide-vs-uniform", "narrow-vs-standard", "far-mean"])
+def test_cli_distance_tv_extreme_analytic_laws(tmp_path, left, right, tv):
+    # A law far narrower than the other used to fall between the points of
+    # the search grid (tv = 0.5, exit 0); a quadrature that does not
+    # converge exits 3 instead of warning.  tv None: exit 3 expected.
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("distance", "--metric", "tv", "--left", left, "--right", right,
+                       "--out", str(out))
+    assert [str(w.message) for w in caught] == []
+    if tv is None:
+        assert code == EXIT_PRECONDITION and not out.exists()
+    else:
+        assert code == EXIT_OK
+        assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(
+            tv, abs=1e-6)
+
+
 def test_cli_distance_samples_and_poly(tmp_path):
     rng = np.random.default_rng(0)
     sfile = tmp_path / "a.samples"
@@ -358,6 +374,23 @@ def test_cli_non_finite_or_tiny_runs_exit_3(tmp_path, argv, record):
     assert [str(w.message) for w in caught] == []
 
 
+def test_run_manifest_records_chain_diagnostics(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", BASE_CHAIN)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == EXIT_OK
+    rows = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert [(r["replicate"], r["n"]) for r in rows] == [(0, 2), (0, 4), (1, 2), (1, 4)]
+    for r in rows:
+        assert r["d_tv_floor"] > 0 and r["fm_step"] > 0
+        assert r["above_floor"] == (r["d_tv_hat"] > r["d_tv_floor"])
+        assert r["vacuous"] == (r["bound"] >= 1)
+        assert r["tv_bins"] == math.ceil(BASE_CHAIN["samples"] ** (1 / 3))
+    # The self pair: d_fm = 0 puts the optimum on the alpha floor.
+    assert all(r["at_grid_edge"] and r["d_tv_hat"] == 0.0 for r in rows if r["n"] == 4)
+    header = (out / "clt_linear.csv").read_text().splitlines()[0]
+    assert header == "replicate,n,d_fm,d_tv_hat,kappa,budget,alpha_star,eps_star,bound"
+
+
 def test_run_single_replicate_bytes_do_not_depend_on_threads(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {
         "schema": "gamma-lab/1", "scenario": "beta_clt", "seed": 3,
@@ -416,8 +449,9 @@ def test_cli_smoothed_functional(tmp_path):
     ["smoothed-functional", "--eps", "0.1,1e400"],
     ["cw-check", "--stability-factor", "0"],
     ["cw-check", "--stability-factor", "-3"],
+    ["cw-check", "--stability-factor", "1"],
 ], ids=["alphas-empty", "alphas-empty-item", "alphas-nan", "eps-word",
-        "eps-overflow", "stability-0", "stability-negative"])
+        "eps-overflow", "stability-0", "stability-negative", "stability-1"])
 def test_cli_bad_sweep_options_exit_2(tmp_path, capsys, argv):
     qfile = tmp_path / "q.json"
     qfile.write_text(Polynomial.variable(1, 1).to_json())

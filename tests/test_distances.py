@@ -13,6 +13,7 @@ from gamma_lab.distances import (
     bounded_lipschitz_grid_value,
     fortet_mourier,
     functional_samples,
+    histogram_tv_floor,
     kolmogorov,
     total_variation,
 )
@@ -86,6 +87,20 @@ def test_tv_disjoint_narrow_gaussians_saturate():
     lo = AnalyticLaw.gaussian(0.0, 1e-3)
     hi = AnalyticLaw.gaussian(1.0, 1e-3)
     assert total_variation(lo, hi).estimate == pytest.approx(1.0, abs=1e-3)
+
+
+def test_histogram_tv_floor_tracks_equal_law_tv():
+    # Equal laws: the histogram TV is pure noise, and the split-half floor of
+    # the reference, on the same bins, estimates its size.
+    tvs, floors = [], []
+    for s in range(20):
+        ref = gaussian_samples(100_000, 500 + s)
+        report = total_variation(gaussian_samples(100_000, 100 + s), ref)
+        tvs.append(report.estimate)
+        floors.append(histogram_tv_floor(ref, report))
+    assert 0.8 < np.median(floors) / np.median(tvs) < 1.25
+    point = SampleSet(np.zeros(5))
+    assert histogram_tv_floor(point, total_variation(point, point)) == 0.0
 
 
 def test_tv_histogram_consistency_trend():

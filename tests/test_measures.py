@@ -254,7 +254,8 @@ DRAW_PATHS = {
     "beta32-order": beta(3, 2),
     "gamma1-sum": gamma(1),
     "gamma3-sum": gamma(3),
-    "beta34-numpy": beta(3, 4),
+    "beta34-order": beta(3, 4),
+    "beta44-numpy": beta(4, 4),
     "gamma4-numpy": gamma(4),
     "gamma5/2-numpy": gamma(Fraction(5, 2)),
 }
@@ -269,14 +270,14 @@ def test_sampler_paths_one_sample_ks(fam):
 def test_draw_path_dispatch():
     # The caps pick the path: past them, and for the gaussian, draws are
     # numpy's own stream; inside them, the exact constructions.
-    assert BETA_ORDER_MAX == 5 and GAMMA_SUM_MAX == 3
+    assert BETA_ORDER_MAX == 6 and GAMMA_SUM_MAX == 3
     shape = (300, 4)
 
     def rng():
         return generator(substream(8, "paths"))
 
     assert np.array_equal(gaussian().draw(rng(), shape), rng().standard_normal(shape))
-    for fam in (beta(3, 4), beta(Fraction(5, 2), 2), beta(1, 5.5)):
+    for fam in (beta(4, 4), beta(Fraction(5, 2), 2), beta(1, 5.5)):
         numpy_beta = 1.0 - 2.0 * rng().beta(float(fam.a), float(fam.b), size=shape)
         assert np.array_equal(fam.draw(rng(), shape), numpy_beta)
     for fam in (gamma(4), gamma(Fraction(5, 2))):
@@ -304,12 +305,15 @@ def test_gamma_sampler_matches_scipy_law():
 
 
 @pytest.mark.parametrize(
-    "family", [gaussian(), gamma(2), beta(2, 2), beta(3, 2), gamma(Fraction(5, 2))],
+    "family, slab",
+    [(gaussian(), BLOCK_ROWS), (gamma(2), SLAB_ROWS), (beta(2, 2), SLAB_ROWS),
+     (beta(3, 2), SLAB_ROWS), (gamma(Fraction(5, 2)), BLOCK_ROWS)],
     ids=["gaussian", "gamma2", "beta22", "beta32", "gamma5/2"])
-def test_block_draws_equal_one_draw_per_chunk(family):
-    # Drawing a chunk BLOCK_ROWS rows at a time, each block SLAB_ROWS rows at
-    # a time, from its generator yields bit for bit the rows of one draw of
-    # the whole chunk.  The last block holds a partial slab.
+def test_block_draws_equal_one_draw_per_chunk(family, slab):
+    # Block after block from its chunk's generator, each block is the
+    # transpose of a C-order (width, rows) buffer: one draw of that shape,
+    # or for the exact constructions one draw per SLAB_ROWS rows of it.  The
+    # last block holds a partial slab.
     n = CHUNK_ROWS + BLOCK_ROWS + SLAB_ROWS + 123
     for width in (5, 1):
         pool = draw_pool(family, width, n, substream(4, "blocks"))
@@ -325,5 +329,14 @@ def test_block_draws_equal_one_draw_per_chunk(family):
             assert all(x.shape == (b - a, width) for a, b, x in drawn)
             assert all(x.flags.f_contiguous for _, _, x in drawn)
             assert not np.shares_memory(drawn[0][2], drawn[-1][2])
-            whole = family.draw(generator(child), (hi - lo, width))
-            assert np.array_equal(np.concatenate([x for _, _, x in drawn]), whole)
+            rng = generator(child)
+            for a, b, x in drawn:
+                buf = np.concatenate([
+                    family.draw(rng, (width, min(slab, b - s)))
+                    for s in range(a, b, slab)
+                ], axis=1)
+                assert np.array_equal(x, buf.T)
+
+
+def test_pool_generator_is_sfc64():
+    assert isinstance(generator(substream(1, "pool")).bit_generator, np.random.SFC64)

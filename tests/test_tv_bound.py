@@ -21,7 +21,9 @@ from gamma_lab.measures import (
     variance,
 )
 from gamma_lab.poly import Polynomial, variables
-from gamma_lab.sampling import CHUNK_ROWS, chunk_edges, generator, substream
+from gamma_lab.sampling import (
+    BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, chunk_edges, generator, substream,
+)
 from gamma_lab.tv_bound import (
     MIN_CHAIN_SAMPLES,
     evaluate_bound,
@@ -67,15 +69,6 @@ def test_budget_linear_any_family():
     for fam in (gamma(2), beta(2, 2)):
         bb = moment_budget(x, ProductMeasure(fam, 1), n=200_000, seed=3)
         assert np.isfinite(bb.total)
-
-
-def test_budget_quadrature_fallback_low_dim():
-    x = Polynomial.variable(1, 1)
-    b = moment_budget(x, MU1, method="quadrature")
-    assert b.e_abs_lq == pytest.approx(math.sqrt(2 / math.pi), abs=1e-9)
-    with pytest.raises(PreconditionError):
-        moment_budget(Polynomial.variable(1, 3), ProductMeasure(gaussian(), 3),
-                      method="quadrature")
 
 
 def test_budget_flags_constant():
@@ -319,13 +312,21 @@ def test_chain_rows_do_not_depend_on_pool_threads():
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1] == runs[2]
-    # The distances are those of the pool drawn one whole chunk at a time.
+    # The distances are those of the pool drawn block after block from each
+    # chunk's generator, each block the transpose of a (width, rows) buffer
+    # filled SLAB_ROWS rows at a time (beta(2, 2) is an exact construction).
     edges = chunk_edges(n_samples)
     children = substream(6, "chain-pool").spawn(len(edges))
-    pool = np.concatenate([
-        fam.draw(generator(child), (hi - lo, 8))
-        for (lo, hi), child in zip(edges, children)
-    ])
+    blocks = []
+    for (lo, hi), child in zip(edges, children):
+        rng = generator(child)
+        for start in range(lo, hi, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, hi)
+            blocks.append(np.concatenate([
+                fam.draw(rng, (8, min(SLAB_ROWS, stop - s)))
+                for s in range(start, stop, SLAB_ROWS)
+            ], axis=1).T)
+    pool = np.concatenate(blocks)
     first, last = (pair_product_sequence(fam, n) for n in (2, 4))
     cur = SampleSet(first.evaluate_batch(pool[:, :4]))
     ref = SampleSet(last.evaluate_batch(pool))
