@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .measures import ProductMeasure, expectation, functional_values
+from .measures import ProductMeasure, expectation, finite_float, functional_values
 from .operators import DiffusionOperator, carre_du_champ
 from .poly import Polynomial
 
@@ -89,7 +89,7 @@ def small_ball(
     degree = q.degree()
     if degree is None or degree < 1:
         raise PreconditionError("small_ball requires a nonconstant polynomial")
-    l2 = math.sqrt(float(expectation(q * q, mu)))
+    l2 = math.sqrt(finite_float(expectation(q * q, mu), "E[Q^2]"))
     probs, stderrs = _ball_probs(q, mu, alphas, n, seed, "small-ball")
     return SmallBallCurve(alphas, probs, stderrs, n, seed, degree, l2)
 
@@ -115,16 +115,16 @@ def carbery_wright_check(
         )
     degree = q.degree()
     k = max(1, degree if degree is not None else 0)
-    l2 = math.sqrt(float(e_q2))
-    norm_factor = float(e_q2) ** (1.0 / (2 * k))
+    e_q2 = finite_float(e_q2, "E[Q^2]")
+    l2 = math.sqrt(e_q2)
+    norm_factor = e_q2 ** (1.0 / (2 * k))
 
     probs, stderrs = _ball_probs(q, mu, alphas, n, seed, "small-ball")
     ratios = probs * norm_factor / alphas ** (1.0 / k)
     c_hat = float(ratios.max() / k)
     curve = SmallBallCurve(alphas, probs, stderrs, n, seed, k, l2)
 
-    c_big = None
-    stable = None
+    n_big = c_big = stable = None
     if stability_factor is not None:
         n_big = n * int(stability_factor)
         probs_big, _ = _ball_probs(q, mu, alphas, n_big, seed, "small-ball-refined")
@@ -136,7 +136,7 @@ def carbery_wright_check(
             stable = c_hat == c_big
     return CWReport(
         curve, ratios, c_hat, c_big, stable,
-        params={"norm_factor": norm_factor, "k": k, "n": n},
+        params={"norm_factor": norm_factor, "k": k, "n": n, "n_refined": n_big},
     )
 
 

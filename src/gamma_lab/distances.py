@@ -25,6 +25,12 @@ The cos^2 family is the stock counterexample for "convergence in law
 without convergence in total variation": against the uniform law on
 [0, pi] its Kolmogorov distance is 1/(2 pi n) -> 0 while the total
 variation distance stays at 1/pi for every frequency n.
+
+Only analytic laws need scipy, and it is imported where they use it: in
+:func:`_quad` (``integrate.quad``), :func:`_sign_change_roots`
+(``optimize.brentq``) and the CDF of :meth:`AnalyticLaw.gaussian`
+(``special.ndtr``).  Empirical inputs, and the library's other modules, run
+on numpy alone, so importing gamma_lab does not load scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .errors import PreconditionError
 from .measures import ProductMeasure, functional_values
@@ -150,11 +155,16 @@ class AnalyticLaw:
                 z = (np.asarray(x) - mu) / sigma
                 return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
 
+        def cdf(x):
+            from scipy.special import ndtr
+
+            return ndtr((np.asarray(x) - mu) / sigma)
+
         # 12-sigma clipping leaves ~1e-33 of mass outside, far below tolerances.
         return cls(
             "gaussian",
             pdf=pdf,
-            cdf=lambda x: special.ndtr((np.asarray(x) - mu) / sigma),
+            cdf=cdf,
             interval=(mu - 12 * sigma, mu + 12 * sigma),
             params={"mu": mu, "sigma": sigma},
         )
@@ -236,6 +246,8 @@ def _kolmogorov_analytic(x: AnalyticLaw, y: AnalyticLaw) -> DistanceReport:
 
 
 def _sign_change_roots(fn, lo: float, hi: float, npts: int) -> np.ndarray:
+    from scipy.optimize import brentq
+
     grid = np.linspace(lo, hi, max(npts, 257))
     vals = np.asarray(fn(grid), dtype=float)
     sign = np.sign(vals)
@@ -243,8 +255,8 @@ def _sign_change_roots(fn, lo: float, hi: float, npts: int) -> np.ndarray:
     # disp=False: a bracket brentq cannot shrink to xtol (a jump of fn on a
     # wide grid) yields its last estimate, still inside the bracket.
     roots = [
-        optimize.brentq(lambda t: float(fn(np.asarray(t))), grid[i], grid[i + 1],
-                        xtol=1e-13, disp=False)
+        brentq(lambda t: float(fn(np.asarray(t))), grid[i], grid[i + 1],
+               xtol=1e-13, disp=False)
         for i in idx
     ]
     # Exact zeros on the grid count as crossings too.
@@ -300,7 +312,9 @@ def _integrate_abs(fn, lo: float, hi: float, npts: int) -> tuple[float, float]:
 
 def _quad(fn, a: float, b: float, limit: int) -> tuple[float, float]:
     """scipy's ``quad`` of fn over [a, b]; PreconditionError if it does not converge."""
-    value, err, _, *failure = integrate.quad(fn, a, b, limit=limit, full_output=1)
+    from scipy.integrate import quad
+
+    value, err, _, *failure = quad(fn, a, b, limit=limit, full_output=1)
     if failure:
         reason = " ".join(failure[0].split())
         raise PreconditionError(f"quadrature over [{a}, {b}] did not converge: {reason}")

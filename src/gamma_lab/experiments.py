@@ -7,7 +7,9 @@ replicates first: ``min(threads, replicates)`` replicates run at once, and
 each splits its pool pass over ``threads // min(threads, replicates)``
 workers by chunk (``pool_threads`` in the manifest), so a single replicate
 uses every thread.  Both maps return results in order and the CSV bytes do
-not depend on the thread count.  Floats are serialized with ``repr``
+not depend on the thread count.  The manifest's ``diagnostics`` hold a
+chain run's per-row estimator diagnostics, or a cw_sweep's fitted c_hat and
+its stability check.  Floats are serialized with ``repr``
 (shortest round-trip form) to keep outputs byte-stable; :func:`write_csv`
 refuses a NaN or infinite cell before it opens the file.
 """
@@ -64,7 +66,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_cos2(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict]:
+def _run_cos2(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict, None]:
     uniform = AnalyticLaw.uniform_0_pi()
     rows = []
     timings = {}
@@ -77,7 +79,7 @@ def _run_cos2(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict]:
         timings[f"n={n}_s"] = round(time.time() - t0, 3)
     path = os.path.join(out_dir, "cos2_counterexample.csv")
     write_csv(path, ["n", "d_kol", "d_tv", "kol_method", "tv_method"], rows)
-    return [path], timings
+    return [path], timings, None
 
 
 def _chain_builder(config: ExperimentConfig):
@@ -156,7 +158,7 @@ def _run_chain(
     return [path, summary], timings, diagnostics
 
 
-def _run_cw_sweep(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict]:
+def _run_cw_sweep(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict, dict]:
     q = Polynomial.from_json_dict(config.poly)
     mu = ProductMeasure(config.family, q.dim)
     t0 = time.time()
@@ -174,7 +176,16 @@ def _run_cw_sweep(config: ExperimentConfig, out_dir: str) -> tuple[list[str], di
     ]
     path = os.path.join(out_dir, "cw_sweep.csv")
     write_csv(path, ["alpha", "estimate", "stderr", "ratio"], rows)
-    return [path], timings
+    # The fit and its stability check at stability_factor x the samples;
+    # the refined fields are null when stability_factor is null.
+    diagnostics = {
+        "c_hat": report.c_hat,
+        "c_hat_refined": report.c_hat_refined,
+        "stable": report.stable,
+        "n": report.params["n"],
+        "n_refined": report.params["n_refined"],
+    }
+    return [path], timings, diagnostics
 
 
 def run_experiment(
@@ -190,11 +201,10 @@ def run_experiment(
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
 
-    diagnostics = None
     if config.scenario == "cos2_counterexample":
-        outputs, timings = _run_cos2(config, out_dir)
+        outputs, timings, diagnostics = _run_cos2(config, out_dir)
     elif config.scenario == "cw_sweep":
-        outputs, timings = _run_cw_sweep(config, out_dir)
+        outputs, timings, diagnostics = _run_cw_sweep(config, out_dir)
     else:
         outputs, timings, diagnostics = _run_chain(config, out_dir, threads)
 

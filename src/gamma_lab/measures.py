@@ -31,6 +31,10 @@ are exposed separately (``BasisPolynomial.norm2``).
 Every Monte-Carlo pool is drawn by :func:`draw_pool`; every column of one
 polynomial over a pool is computed by :func:`functional_values`.
 
+The module imports numpy and no scipy: nothing here needs a family's
+density or CDF.  Those serve only as test oracles and live with the tests
+(``tests/reference_laws.py``, on ``scipy.stats``).
+
 ``MeasureFamily.draw`` uses an exact construction where it is cheaper than
 numpy's sampler (Devroye, *Non-Uniform Random Variate Generation*, 1986):
 
@@ -62,13 +66,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
 
 import numpy as np
-from scipy import special, stats
 
 from .errors import DimensionMismatchError, PreconditionError
 from .poly import Coef, Polynomial
@@ -98,6 +101,10 @@ class MeasureFamily:
     r: Param | None = None
     a: Param | None = None
     b: Param | None = None
+    # True if all parameters are rational, enabling exact moments.  A field,
+    # so equality and hashing see it: gamma(1) and gamma(1.0) are one law in
+    # two arithmetic modes, and the cached moment tables must keep them apart.
+    exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -119,11 +126,8 @@ class MeasureFamily:
                 raise PreconditionError(
                     f"beta requires a, b >= 1 for log-concavity, got a={self.a}, b={self.b}"
                 )
-
-    @property
-    def exact(self) -> bool:
-        """True if all parameters are rational, enabling exact moments."""
-        return not any(isinstance(p, float) for p in (self.r, self.a, self.b))
+        exact = not any(isinstance(p, float) for p in (self.r, self.a, self.b))
+        object.__setattr__(self, "exact", exact)
 
     def support(self) -> tuple[float, float]:
         if self.kind == "gaussian":
@@ -138,31 +142,6 @@ class MeasureFamily:
         if self.kind == "gamma":
             return f"gamma(r={self.r})"
         return f"beta(a={self.a},b={self.b})"
-
-    # Densities / CDFs are float-valued conveniences for tests and fixtures.
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            return np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        if self.kind == "gamma":
-            return stats.gamma.pdf(x, float(self.r))
-        a, b = float(self.a), float(self.b)
-        out = np.zeros_like(x)
-        inside = (x >= -1) & (x <= 1)
-        z = 2.0 ** (a + b - 1) * special.beta(a, b)
-        xi = x[inside]
-        out[inside] = (1 - xi) ** (a - 1) * (1 + xi) ** (b - 1) / z
-        return out
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            return special.ndtr(x)
-        if self.kind == "gamma":
-            return stats.gamma.cdf(x, float(self.r))
-        # x = 1 - 2B:  P(x <= v) = P(B >= (1-v)/2)
-        return stats.beta.sf((1 - x) / 2, float(self.a), float(self.b))
 
     def draw(
         self, rng: np.random.Generator, shape: tuple[int, ...], order: str = "C"
@@ -302,6 +281,17 @@ def expectation(p: Polynomial, mu: ProductMeasure) -> Coef:
 def variance(p: Polynomial, mu: ProductMeasure) -> Coef:
     mean = expectation(p, mu)
     return expectation(p * p, mu) - mean * mean
+
+
+def finite_float(value: Coef, what: str) -> float:
+    """An exact or float moment as a finite float; PreconditionError otherwise."""
+    try:
+        number = float(value)
+    except OverflowError:  # an exact value beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise PreconditionError(f"{what} = {number} is not finite in floating point")
+    return number
 
 
 # ---------------------------------------------------------------------------

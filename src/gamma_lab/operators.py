@@ -213,14 +213,6 @@ def spectral_gap(op: DiffusionOperator) -> Coef:
     return eigenvalue_1d(op.family, 1)
 
 
-def lambda_max(op: DiffusionOperator, degree: int) -> Coef:
-    """Largest eigenvalue of -L restricted to polynomials of degree <= degree.
-
-    Attained by concentrating the whole index on one coordinate.
-    """
-    return eigenvalue_1d(op.family, degree)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalue-indexed components of a polynomial in the tensor basis.

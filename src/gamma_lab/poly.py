@@ -329,7 +329,12 @@ class Polynomial:
         out = np.zeros(n)
         tmp = np.empty(n)
         for m, c in self.sorted_terms():
-            fc = float(c)
+            try:
+                fc = float(c)
+            except OverflowError:  # an exact coefficient beyond float range
+                raise PreconditionError(
+                    f"coefficient of monomial {m} is beyond float range"
+                ) from None
             if not m:
                 out += fc
                 continue

@@ -44,6 +44,7 @@ from .measures import (
     ProductMeasure,
     draw_pool,
     expectation,
+    finite_float,
     functional_values,
     variance,
 )
@@ -332,7 +333,7 @@ def run_chain_replicate(
 
     mus = [ProductMeasure(family, m) for m in dims]
     last = elements[-1]
-    if float(variance(last, mus[-1])) <= 0.0:
+    if finite_float(variance(last, mus[-1]), "variance of the chain limit proxy") <= 0.0:
         raise DegenerateFunctionalError(
             "chain limit proxy has zero variance: its law is a point mass, "
             "not absolutely continuous (variance criterion); refusing the "
@@ -343,8 +344,11 @@ def run_chain_replicate(
     gammas = [carre_du_champ(op_cache[m], q) for q, m in zip(elements, dims)]
     lqs = [apply_generator(op_cache[m], q) for q, m in zip(elements, dims)]
     e_gamma_gammas = [
-        float(expectation(carre_du_champ(op_cache[m], g), ProductMeasure(family, m)))
-        for g, m in zip(gammas, dims)
+        finite_float(
+            expectation(carre_du_champ(op_cache[m], g), ProductMeasure(family, m)),
+            f"E[Gamma(Gamma(Q))] of chain element n={n}",
+        )
+        for g, m, n in zip(gammas, dims, n_grid)
     ]
 
     # One pass over a shared pool: functional values for every element,

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -408,6 +409,35 @@ def test_run_single_replicate_bytes_do_not_depend_on_threads(tmp_path):
     assert blobs[1] == blobs[2]
 
 
+CW_SWEEP = {
+    "schema": "gamma-lab/1", "scenario": "cw_sweep", "seed": 5, "samples": 20_000,
+    "family": {"kind": "gaussian"}, "alphas": [0.01, 0.1, 1.0],
+    "poly": {"dim": 2, "terms": [{"exps": [[1, 1], [2, 1]], "coef": 1}]},
+}
+
+
+def test_cw_sweep_manifest_records_fit_and_refinement(tmp_path):
+    runs = {}
+    for factor in (10, None):
+        cfg = write_json(tmp_path / f"cfg{factor}.json",
+                         dict(CW_SWEEP, stability_factor=factor))
+        out = tmp_path / f"sf{factor}"
+        assert run_cli("run", "--config", cfg, "--out", str(out)) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs[factor] = (manifest["diagnostics"], (out / "cw_sweep.csv").read_bytes())
+    refined, plain = runs[10][0], runs[None][0]
+    assert refined["n"] == plain["n"] == 20_000
+    assert refined["n_refined"] == 200_000
+    assert refined["c_hat"] == plain["c_hat"] > 0
+    assert refined["c_hat_refined"] > 0 and isinstance(refined["stable"], bool)
+    assert refined["stable"] == (
+        max(refined["c_hat"], refined["c_hat_refined"])
+        < 2 * min(refined["c_hat"], refined["c_hat_refined"]))
+    assert plain["n_refined"] is plain["c_hat_refined"] is plain["stable"] is None
+    # The refinement goes to the manifest only: the CSV is the same either way.
+    assert runs[10][1] == runs[None][1]
+
+
 # -- sweep subcommands ---------------------------------------------------------------
 
 
@@ -654,3 +684,120 @@ def test_cli_fuzzed_arguments_exit_with_documented_code(cli_dir, argv):
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue()
 
+
+
+# -- run fuzzing ----------------------------------------------------------------------
+
+# A JSON value of the wrong type for most fields; no positive integer, so a
+# junk samples or replicates value never asks for a long run.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-1, 3), max_size=2),
+)
+# Family parameters: in range, below the log-concave range (exit 3), huge, or
+# not a number.
+PARAM = st.sampled_from([1, 2, 3, "5/2", 2.5, 1.0, 0.5, 1e300, "x", "1/0"])
+FAMILY = st.one_of(
+    st.just({"kind": "gaussian"}),
+    st.builds(lambda r: {"kind": "gamma", "r": r}, PARAM),
+    st.builds(lambda a, b: {"kind": "beta", "a": a, "b": b}, PARAM, PARAM),
+)
+POLY = st.sampled_from([
+    {"dim": 2, "terms": [{"exps": [[1, 1], [2, 1]], "coef": 1}]},
+    {"dim": 1, "terms": [{"exps": [[1, 1]], "coef": "2/3"}]},
+    {"dim": 1, "terms": [{"exps": [[1, 3]], "coef": 1e300}]},
+    {"dim": 1, "terms": [{"exps": [[1, 1]], "coef": 10**400}]},
+    {"dim": 1, "terms": [{"exps": [], "coef": 1}]},
+    {"dim": 1, "terms": []},
+    {"dim": 1, "terms": [{"exps": [[2, 1]], "coef": 1}]},
+    {"dim": 1, "terms": [{"exps": [[1, 1]], "coef": "1/0"}]},
+    {"dim": 1, "terms": [{"coef": 1}]},
+    {"dim": -1, "terms": []},
+    {"terms": "x"},
+])
+ALPHAS = st.one_of(
+    st.lists(st.floats(1e-4, 10), min_size=1, max_size=4, unique=True).map(sorted),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4),
+)
+CHAIN_SCENARIOS = ["clt_linear", "chaos2", "gamma_clt", "beta_clt", "tv_chain", "custom"]
+
+
+def _grid(high):
+    return st.lists(st.integers(1, high), min_size=1, max_size=3, unique=True).map(sorted)
+
+
+@st.composite
+def _run_config(draw):
+    scenario = draw(st.sampled_from(
+        [*CHAIN_SCENARIOS, "cw_sweep", "cos2_counterexample"]))
+    config = {"schema": "gamma-lab/1", "scenario": scenario,
+              "seed": draw(st.integers(0, 2**64))}
+    if scenario == "cos2_counterexample":
+        config["n_grid"] = draw(_grid(20))
+    else:
+        config["family"] = draw(FAMILY)
+        # Always present: the default of 10^6 samples is too slow here.
+        config["samples"] = draw(st.one_of(st.integers(1000, 5000), st.integers(1, 999)))
+    if scenario == "cw_sweep":
+        config["poly"] = draw(POLY)
+        config["alphas"] = draw(ALPHAS)
+        config["stability_factor"] = draw(st.one_of(st.integers(1, 12), st.none()))
+    elif scenario == "custom":
+        # Records here; the test writes each to a file and lists the paths.
+        config["poly_files"] = draw(st.lists(POLY, min_size=1, max_size=2))
+        config["replicates"] = draw(st.integers(1, 2))
+    elif scenario != "cos2_counterexample":
+        config["n_grid"] = draw(_grid(16))
+        config["replicates"] = draw(st.integers(1, 2))
+        if scenario == "tv_chain":
+            config["sequence"] = draw(st.sampled_from(["clt_linear", "chaos2"]))
+    # At most one fault: a field left out, a field of the wrong type, or an
+    # unknown key.
+    fault = draw(st.sampled_from([None] * 5 + ["omit", "junk", "typo"]))
+    if fault == "typo":
+        config["typo"] = 1
+    elif fault:
+        key = draw(st.sampled_from(sorted(set(config) - {"samples"})))
+        if fault == "omit":
+            del config[key]
+        else:
+            config[key] = draw(JUNK)
+    return config
+
+
+CW_HUGE = dict(CW_SWEEP, poly={"dim": 1, "terms": [{"exps": [[1, 3]], "coef": 1e300}]})
+CW_BEYOND_FLOAT = dict(CW_SWEEP, poly={"dim": 1, "terms": [{"exps": [[1, 1]],
+                                                             "coef": 10**400}]})
+CUSTOM_BEYOND_FLOAT = {"schema": "gamma-lab/1", "scenario": "custom", "samples": 1000,
+                       "family": {"kind": "gaussian"},
+                       "poly_files": [CW_BEYOND_FLOAT["poly"]]}
+
+
+@settings(max_examples=100)
+@given(config=_run_config(), threads=st.sampled_from(["1", "2"]))
+@example(config=CW_HUGE, threads="1")  # E[Q^2] = inf: NaN ratios, RuntimeWarning
+@example(config=CW_BEYOND_FLOAT, threads="1")  # OverflowError in float(E[Q^2])
+@example(config=CUSTOM_BEYOND_FLOAT, threads="1")  # OverflowError in evaluate_batch
+def test_cli_fuzzed_run_configs_exit_with_documented_code(tmp_path_factory, config,
+                                                          threads):
+    # Any config runs or exits 2, 3 or 4 with a message: never a traceback,
+    # and a failed run leaves no file behind.
+    work = tmp_path_factory.mktemp("run")
+    if isinstance(config.get("poly_files"), list):
+        for i, record in enumerate(config["poly_files"]):
+            if isinstance(record, dict):
+                config["poly_files"][i] = write_json(work / f"p{i}.json", record)
+    cfg = work / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = work / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run_cli("run", "--config", str(cfg), "--out", str(out),
+                       "--threads", threads)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if code == EXIT_OK:
+        assert (out / "manifest.json").exists()
+    else:
+        assert not [files for _, _, files in os.walk(out) if files]

@@ -1,12 +1,16 @@
 """Moment engine, orthogonal bases, and sampler law checks."""
 
+import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import reference_laws
+from gamma_lab.config import parse_family
 from gamma_lab.errors import PreconditionError
 from gamma_lab.measures import (
     BETA_ORDER_MAX,
@@ -87,9 +91,29 @@ def test_moments_match_quadrature(fam):
     for k in range(0, 13):
         exact = float(raw_moment(fam, k))
         num, _ = integrate.quad(
-            lambda x, k=k: x**k * float(fam.pdf(np.asarray(x))), lo, hi, limit=300
+            lambda x, k=k: x**k * float(reference_laws.pdf(fam, np.asarray(x))),
+            lo, hi, limit=300,
         )
         assert num == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+
+def _recorded_laws():
+    # Values of MeasureFamily.pdf/.cdf, recorded as float hex strings before
+    # those methods moved out of the library (numpy 2.4.6, scipy 1.17.1), on
+    # grids that hold each support's edges and points just outside it.
+    path = os.path.join(os.path.dirname(__file__), "data", "family_laws.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("record", _recorded_laws(), ids=lambda r: parse_family(
+    r["family"]).label())
+def test_reference_laws_equal_removed_family_methods(record):
+    fam = parse_family(record["family"])
+    x = np.array([float.fromhex(v) for v in record["x"]])
+    for fn in ("pdf", "cdf"):
+        got = np.asarray(getattr(reference_laws, fn)(fam, x), dtype=float)
+        assert [float(v).hex() for v in got] == record[fn], fn
 
 
 # -- expectations of polynomials ------------------------------------------------
@@ -231,9 +255,9 @@ KS_CRIT_1PCT = 1.6276  # asymptotic Kolmogorov distribution, alpha = 0.01
 
 
 def _ks_statistic(fam, n, seed):
-    """One-sample Kolmogorov-Smirnov statistic of n pooled draws against fam.cdf."""
+    """One-sample Kolmogorov-Smirnov statistic of n pooled draws against its CDF."""
     vals = np.sort(sample(ProductMeasure(fam, 1), n, seed=seed)[:, 0])
-    cdf = np.asarray(fam.cdf(vals), dtype=float)
+    cdf = np.asarray(reference_laws.cdf(fam, vals), dtype=float)
     hi = np.max(np.arange(1, n + 1) / n - cdf)
     lo = np.max(cdf - np.arange(0, n) / n)
     return max(hi, lo)
@@ -286,6 +310,16 @@ def test_draw_path_dispatch():
     assert np.array_equal(beta(3, 2).draw(rng(), shape), 1.0 - 2.0 * np.sort(u)[..., 2])
     e = rng().standard_exponential((*shape, 3))
     assert np.array_equal(gamma(3).draw(rng(), shape), e[..., 0] + e[..., 1] + e[..., 2])
+
+
+def test_exact_and_float_families_keep_separate_moments():
+    # gamma(1) and gamma(1.0) are one law in two arithmetic modes: a float
+    # moment cached for one must not come back for the other.
+    for exact, floating in ((gamma(1), gamma(1.0)), (beta(2, 3), beta(2.0, 3))):
+        assert exact != floating and exact.exact and not floating.exact
+        assert isinstance(raw_moment(floating, 11), float)
+        assert isinstance(raw_moment(exact, 11), Fraction)
+        assert basis(floating, 3).poly.exact is False and basis(exact, 3).poly.exact
 
 
 def test_integer_valued_float_parameters_draw_the_same_pool():

@@ -184,6 +184,66 @@ def test_optimizer_budget_scaling():
     assert hi <= 2 * lo + 1e-12
 
 
+def closed_form_optimum(d_fm, kappa, d, budget_sup):
+    """(infimum, alpha*, eps*) of D/alpha + 4 kappa eps^p + C alpha/eps.
+
+    Over alpha in (0, 1] and eps > 0, with p = 1/(2d+1) and C = 2 sqrt(2/pi) S.
+    For a fixed eps the best alpha is min(1, sqrt(D eps / C)); the eps that
+    minimizes the result is the interior root, or the root of the alpha = 1
+    branch when the interior alpha* exceeds 1.  D = 0 has infimum 0, at
+    alpha, eps -> 0.
+    """
+    if d_fm == 0:
+        return 0.0, 0.0, 0.0
+    p = 1.0 / (2 * d + 1)
+    c = 2.0 * math.sqrt(2.0 / math.pi) * budget_sup
+    eps = (math.sqrt(d_fm * c) / (4 * kappa * p)) ** (2 / (2 * p + 1))
+    alpha = math.sqrt(d_fm * eps / c)
+    if alpha > 1:
+        alpha, eps = 1.0, (c / (4 * kappa * p)) ** (1 / (p + 1))
+    return d_fm / alpha + 4 * kappa * eps**p + c * alpha / eps, alpha, eps
+
+
+def test_optimizer_against_closed_form_optimum():
+    # The grid optimum is a feasible point, so it is never below the
+    # continuous infimum (up to rounding in the closed form); with the
+    # optimum strictly inside both grids it lies within one grid step, which
+    # costs well under 1% of the bound.
+    rng = np.random.default_rng(2024)
+    interior = 0
+    for _ in range(1500):
+        d_fm = float(10 ** rng.uniform(-9, 0.5))
+        kappa = float(10 ** rng.uniform(-3, 1.5))
+        budget = float(10 ** rng.uniform(-3, 2))
+        d = int(rng.integers(1, 5))
+        inf, alpha, eps = closed_form_optimum(d_fm, kappa, d, budget)
+        total = optimize_bound(d_fm, kappa, d, budget).total
+        assert total >= inf * (1 - 1e-12)
+        if 1e-6 < alpha < 1 and 1e-8 < eps < 1:
+            interior += 1
+            assert total <= 1.01 * inf
+    assert interior >= 300
+    # The self pair, d_fm = 0: the infimum is 0, and the grid stops at its
+    # alpha/eps floor, an edge.
+    r = optimize_bound(0.0, 1.0, 1, 1.0)
+    assert closed_form_optimum(0.0, 1.0, 1, 1.0)[0] == 0.0 < r.total
+    assert r.trace["at_grid_edge"]
+
+
+def test_closed_form_optimum_matches_dense_search():
+    # The closed form itself, against a fine search in each branch.
+    steps = np.logspace(-0.5, 0.5, 101)
+    clipped = 0
+    for args in [(0.01, 1.0, 1, 1.0), (0.05, 0.7, 2, 1.3), (0.5, 0.1, 1, 0.2)]:
+        inf, alpha, eps = closed_form_optimum(*args)
+        clipped += alpha == 1.0
+        dense = min(evaluate_bound(*args, min(1.0, alpha * fa), eps * fe).total
+                    for fa in steps for fe in steps)
+        assert inf <= dense * (1 + 1e-12)
+        assert evaluate_bound(*args, alpha, eps).total == pytest.approx(inf, rel=1e-12)
+    assert clipped == 1
+
+
 # -- chain sequences ------------------------------------------------------------------
 
 
