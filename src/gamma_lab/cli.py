@@ -53,7 +53,7 @@ from .distances import (
 )
 from .errors import ConfigError, ConsistencyError, GammaLabError, PreconditionError
 from .experiments import run_experiment, write_csv
-from .measures import ProductMeasure, load_samples
+from .measures import ProductMeasure, finite_float, load_samples
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .operators import poincare_check as _poincare_check
 from .operators import spectral_decompose
@@ -127,12 +127,17 @@ def _read_poly(path: str, exact: bool | None) -> Polynomial:
     return Polynomial.from_json(text, exact=exact)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(record, out: str | None, indent: int | None = None) -> None:
+    """Write a JSON record to ``out`` or stdout; a NaN or inf in it is exit 3."""
+    try:
+        text = json.dumps(record, indent=indent, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise PreconditionError(f"output is not finite: {exc}") from None
     if out:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _parse_spec(spec: str, seed: int):
@@ -206,32 +211,32 @@ def _cmd_operator(args, what: str) -> int:
     family = _family_from_args(args)
     op = DiffusionOperator(family, f.dim)
     if what == "generator":
-        result = apply_generator(op, f)
-        _emit(result.to_json(), args.out)
+        _emit(apply_generator(op, f).to_json_dict(), args.out)
     elif what == "gamma":
         g = _read_poly(args.poly2, exact) if args.poly2 else None
-        result = carre_du_champ(op, f, g)
-        _emit(result.to_json(), args.out)
+        _emit(carre_du_champ(op, f, g).to_json_dict(), args.out)
     elif what == "decompose":
         dec = spectral_decompose(op, f)
         record = {
             "family": family.label(),
             "components": [
-                {"eigenvalue": float(lam), "poly": dec.components[lam].to_json_dict()}
+                {"eigenvalue": finite_float(lam, "eigenvalue"),
+                 "poly": dec.components[lam].to_json_dict()}
                 for lam in dec.eigenvalues()
             ],
         }
-        _emit(json.dumps(record, indent=2), args.out)
+        _emit(record, args.out, indent=2)
     else:
         rep = _poincare_check(op, f)
+        alt = rep.lambda1_alt
         record = {
-            "variance": float(rep.variance),
-            "energy": float(rep.energy),
-            "lambda1": float(rep.lambda1),
+            "variance": finite_float(rep.variance, "variance"),
+            "energy": finite_float(rep.energy, "Dirichlet energy"),
+            "lambda1": finite_float(rep.lambda1, "spectral gap"),
             "holds": rep.holds,
-            "lambda1_alt": None if rep.lambda1_alt is None else float(rep.lambda1_alt),
+            "lambda1_alt": None if alt is None else finite_float(alt, "lambda1_alt"),
         }
-        _emit(json.dumps(record, indent=2), args.out)
+        _emit(record, args.out, indent=2)
     return EXIT_OK
 
 

@@ -48,6 +48,7 @@ from .poly import Polynomial
 
 GRID_POINTS = 2048
 RANGE_EXPANSION = 0.05
+QUAD_TOL = 1.49e-8  # scipy quad's default epsabs and epsrel
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,14 @@ class AnalyticLaw:
         self.grid_hint = int(grid_hint)
         self.params = dict(params or {})
         if check:
-            mass, _ = _quad(
+            mass, err = _quad(
                 lambda t: float(self.pdf(np.asarray(t))),
                 *self.interval,
                 limit=max(200, self.grid_hint // 8),
             )
-            if abs(mass - 1.0) > 1e-9:
+            # Within quad's own tolerance (its default epsabs plus epsrel
+            # times the mass) plus the error estimate it returns.
+            if abs(mass - 1.0) > QUAD_TOL * (1.0 + abs(mass)) + err:
                 raise PreconditionError(
                     f"density of {kind} integrates to {mass}, not 1"
                 )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import time
 
 import numpy as np
@@ -194,19 +195,29 @@ def run_experiment(
     """Execute a validated config; returns the manifest dict (also written).
 
     The output directory is created only after validation has passed, so a
-    rejected config leaves no files behind.
+    rejected config leaves no files behind; a run that fails removes the
+    directories this call created.
     """
     threads = 1 if threads is None else max(1, threads)
     out_dir = out_dir or config.out or "."
     started = time.time()
+    created = None  # the outermost directory that makedirs creates
+    parent = os.path.abspath(out_dir)
+    while not os.path.exists(parent):
+        created, parent = parent, os.path.dirname(parent)
     os.makedirs(out_dir, exist_ok=True)
 
-    if config.scenario == "cos2_counterexample":
-        outputs, timings, diagnostics = _run_cos2(config, out_dir)
-    elif config.scenario == "cw_sweep":
-        outputs, timings, diagnostics = _run_cw_sweep(config, out_dir)
-    else:
-        outputs, timings, diagnostics = _run_chain(config, out_dir, threads)
+    try:
+        if config.scenario == "cos2_counterexample":
+            outputs, timings, diagnostics = _run_cos2(config, out_dir)
+        elif config.scenario == "cw_sweep":
+            outputs, timings, diagnostics = _run_cw_sweep(config, out_dir)
+        else:
+            outputs, timings, diagnostics = _run_chain(config, out_dir, threads)
+    except BaseException:
+        if created:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
     timings["total_s"] = round(time.time() - started, 3)
     manifest = {

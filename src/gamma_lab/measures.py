@@ -65,6 +65,7 @@ gamma(3) 0.04-0.05 vs 0.05-0.06 (faster in 13 and 15 of 15), gamma(4)
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,14 +84,20 @@ _KINDS = ("gaussian", "gamma", "beta")
 
 
 def _as_param(value, name: str) -> Param:
-    """Normalize a family parameter; int/Fraction stay exact, float stays float."""
+    """Normalize a family parameter; int/Fraction stay exact, float stays float.
+
+    The value must be finite in floating point: samplers and double-mode
+    operators convert it to float.
+    """
     if isinstance(value, bool) or value is None:
         raise PreconditionError(f"parameter {name} must be a number")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return value
-    raise PreconditionError(f"parameter {name} must be a number, got {type(value)!r}")
+        value = Fraction(value)
+    elif not isinstance(value, float):
+        raise PreconditionError(f"parameter {name} must be a number, got {type(value)!r}")
+    if not abs(value) <= sys.float_info.max:  # also refuses NaN
+        raise PreconditionError(f"parameter {name} = {value} is not a finite float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -266,15 +273,25 @@ def expectation(p: Polynomial, mu: ProductMeasure) -> Coef:
         )
     exact = p.exact and mu.family.exact
     total: Coef = Fraction(0) if exact else 0.0
-    for mono, coef in p.sorted_terms():
-        term = coef if exact else float(coef)
-        for _, power in mono:
-            m = raw_moment(mu.family, power)
-            if m == 0:
-                term = 0
-                break
-            term = term * (m if exact else float(m))
-        total = total + term
+    # Each power's moment, looked up once per call rather than once per factor
+    # through raw_moment's cache, which hashes the family every time.
+    moments: dict[int, Coef] = {}
+    try:
+        for mono, coef in p.sorted_terms():
+            term = coef if exact else float(coef)
+            for _, power in mono:
+                m = moments.get(power)
+                if m is None:
+                    m = moments[power] = raw_moment(mu.family, power)
+                if m == 0:
+                    term = 0
+                    break
+                term = term * (m if exact else float(m))
+            total = total + term
+    except OverflowError:  # an exact coefficient or moment beyond float range
+        raise PreconditionError(
+            f"E[p] under {mu.family.label()} needs a value beyond float range"
+        ) from None
     return total
 
 

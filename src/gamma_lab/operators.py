@@ -40,6 +40,7 @@ from .measures import (
     ProductMeasure,
     basis,
     expectation,
+    finite_float,
     monomial_in_basis,
     variance,
 )
@@ -107,12 +108,12 @@ def apply_generator(op: DiffusionOperator, f: Polynomial) -> Polynomial:
     exact = _common_exact(op, f)
     if exact != f.exact:
         f = f.to_double()
-    out = Polynomial.zero(op.dim, exact)
+    parts = []
     for i in sorted(f.variables()):
         fi = f.partial(i)
-        out = out + _diffusion_coeff(op, i, exact) * fi.partial(i)
-        out = out + _drift_coeff(op, i, exact) * fi
-    return out
+        parts.append(_diffusion_coeff(op, i, exact) * fi.partial(i))
+        parts.append(_drift_coeff(op, i, exact) * fi)
+    return Polynomial._sum(op.dim, exact, parts)
 
 
 def carre_du_champ(
@@ -124,22 +125,23 @@ def carre_du_champ(
     if f.dim != op.dim or g.dim != op.dim:
         raise DimensionMismatchError("operand dimensions do not match the operator")
     exact = _common_exact(op, f, g)
-    out = Polynomial.zero(op.dim, exact)
-    for i in sorted(f.variables() & g.variables()):
-        out = out + _diffusion_coeff(op, i, exact) * f.partial(i) * g.partial(i)
-    if not exact:
-        out = out.to_double()
-    return out
+    return Polynomial._sum(op.dim, exact, (
+        _diffusion_coeff(op, i, exact) * f.partial(i) * g.partial(i)
+        for i in sorted(f.variables() & g.variables())
+    ))
 
 
 def carre_du_champ_from_definition(
     op: DiffusionOperator, f: Polynomial, g: Polynomial | None = None
 ) -> Polynomial:
     """Gamma via (L(fg) - f Lg - g Lf)/2; cross-check route for the closed form."""
-    if g is None:
-        g = f
-    lfg = apply_generator(op, f * g)
-    combo = lfg - f * apply_generator(op, g) - g * apply_generator(op, f)
+    if g is None or g is f:
+        # f Lg and g Lf are one product: compute it once, subtract it twice.
+        flf = f * apply_generator(op, f)
+        combo = apply_generator(op, f * f) - flf - flf
+    else:
+        lfg = apply_generator(op, f * g)
+        combo = lfg - f * apply_generator(op, g) - g * apply_generator(op, f)
     return combo.scale(Fraction(1, 2) if combo.exact else 0.5)
 
 
@@ -231,10 +233,9 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> Polynomial:
         exact = all(c.exact for c in self.components.values())
-        total = Polynomial.zero(self.dim, exact)
-        for lam in self.eigenvalues():
-            total = total + self.components[lam]
-        return total
+        return Polynomial._sum(
+            self.dim, exact, (self.components[lam] for lam in self.eigenvalues())
+        )
 
     def component(self, lam) -> Polynomial:
         for key, comp in self.components.items():
@@ -346,9 +347,10 @@ def poincare_check(
     if isinstance(var, Fraction) and isinstance(energy, Fraction) and isinstance(lam1, Fraction):
         holds = var * lam1 <= energy
     else:
-        holds = float(var) * float(lam1) <= float(energy) + tol * max(
-            1.0, abs(float(energy))
-        )
+        var_f = finite_float(var, "variance")
+        lam_f = finite_float(lam1, "spectral gap")
+        e = finite_float(energy, "Dirichlet energy")
+        holds = var_f * lam_f <= e + tol * max(1.0, abs(e))
     alt = None
     if op.family.kind == "beta":
         alt = op.family.a + op.family.b - 1

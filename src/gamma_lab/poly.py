@@ -20,6 +20,13 @@ Mixing an exact and a double operand yields a double result.  In double
 mode only coefficients that are exactly 0.0 are pruned; there is no epsilon
 threshold, so degrees never change silently.
 
+The kernel relies on one invariant: an exact polynomial stores only
+``Fraction`` coefficients and a double one only ``float`` coefficients.
+Same-mode ring operations therefore read an operand's term map as it is and
+never re-coerce a coefficient; only the exact operand of a mixed operation
+is converted, by :meth:`Polynomial._coefs`.  A sum that reaches zero is
+deleted where it arises, so every stored term map is already free of zeros.
+
 Polynomials are immutable after construction and safe to share between
 threads.  Iteration over terms is always in sorted monomial order, which
 keeps float accumulation deterministic.
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +70,11 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
         return m2
     if not m2:
         return m1
+    # Disjoint, ordered variable ranges: the sorted merge is the concatenation.
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
     merged = dict(m1)
     for var, power in m2:
         merged[var] = merged.get(var, 0) + power
@@ -71,6 +83,20 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 def _mono_degree(m: Mono) -> int:
     return sum(p for _, p in m)
+
+
+def _add_terms(out: dict[Mono, Coef], terms: Mapping[Mono, Coef]) -> None:
+    """Add a term map into ``out`` in its order; a sum reaching zero is deleted."""
+    for m, c in terms.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
 
 
 class Polynomial:
@@ -121,6 +147,23 @@ class Polynomial:
         dim = i if dim is None else dim
         return cls(dim, {((i, 1),): 1}, exact)
 
+    @classmethod
+    def _sum(cls, dim: int, exact: bool, parts: Iterable["Polynomial"]) -> "Polynomial":
+        """The fold zero(dim, exact) + p1 + p2 + ..., added into one term map.
+
+        Parts are added left to right, so the per-monomial sums and the term
+        order are those of the fold, without its copy of the running total
+        per step.  ``exact`` must be the fold's mode: False if any part is
+        double; an exact part of a double sum is converted as ``+`` does.
+        """
+        total = cls.zero(dim, exact)
+        for part in parts:
+            total._check_dim(part)
+            if part.exact and not exact:
+                part = part.to_double()
+            _add_terms(total._terms, part._terms)
+        return total
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -162,6 +205,17 @@ class Polynomial:
     def _result_mode(self, other: "Polynomial") -> bool:
         return self.exact and other.exact
 
+    def _coefs(self, exact: bool) -> Mapping[Mono, Coef]:
+        """The term map read in a result mode: as stored when the modes
+        match, else each exact coefficient converted to float (a tiny one
+        to 0.0, which the caller prunes)."""
+        if self.exact == exact:
+            return self._terms
+        try:
+            return {m: float(c) for m, c in self._terms.items()}
+        except OverflowError:
+            raise PreconditionError("exact coefficient beyond float range") from None
+
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, float)):
             other = Polynomial.constant(
@@ -171,14 +225,10 @@ class Polynomial:
             return NotImplemented
         self._check_dim(other)
         exact = self._result_mode(other)
-        conv: Callable[[Coef], Coef] = Fraction if exact else float
-        out: dict[Mono, Coef] = {m: conv(c) for m, c in self._terms.items()}
-        for m, c in other._terms.items():
-            s = out.get(m, 0) + conv(c)
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        out = dict(self._coefs(exact))
+        _add_terms(out, other._coefs(exact))
+        if self.exact != other.exact:  # prune conversions that underflowed to 0.0
+            out = {m: c for m, c in out.items() if c}
         return self._wrap(out, exact)
 
     __radd__ = __add__
@@ -195,11 +245,12 @@ class Polynomial:
     def scale(self, factor) -> "Polynomial":
         """Multiply by a scalar; a float factor demotes to double mode."""
         exact = self.exact and not isinstance(factor, float)
-        conv: Callable[[Coef], Coef] = Fraction if exact else float
-        f = conv(factor)
+        f = Fraction(factor) if exact else float(factor)
         if f == 0:
             return Polynomial.zero(self.dim, exact)
-        return self._wrap({m: conv(c) * f for m, c in self._terms.items()}, exact)
+        # A double product can underflow to zero.
+        scaled = ((m, c * f) for m, c in self._coefs(exact).items())
+        return self._wrap({m: c for m, c in scaled if c}, exact)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, float)):
@@ -208,17 +259,17 @@ class Polynomial:
             return NotImplemented
         self._check_dim(other)
         exact = self._result_mode(other)
-        conv: Callable[[Coef], Coef] = Fraction if exact else float
+        right = other._coefs(exact)
         out: dict[Mono, Coef] = {}
-        for m1, c1 in self._terms.items():
-            c1 = conv(c1)
-            for m2, c2 in other._terms.items():
+        for m1, c1 in self._coefs(exact).items():
+            for m2, c2 in right.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * conv(c2)
-                if s == 0:
-                    out.pop(m, None)
-                else:
+                s = out.get(m)
+                s = c1 * c2 if s is None else s + c1 * c2
+                if s:  # a double product alone can also be zero
                     out[m] = s
+                else:
+                    out.pop(m, None)
         return self._wrap(out, exact)
 
     __rmul__ = __mul__
@@ -236,10 +287,15 @@ class Polynomial:
         return result
 
     def _wrap(self, terms: dict[Mono, Coef], exact: bool) -> "Polynomial":
+        """A polynomial of this dimension that takes ``terms`` as its term map.
+
+        ``terms`` must already hold only coefficients of the given mode and
+        no zero.
+        """
         p = Polynomial.__new__(Polynomial)
         p.dim = self.dim
         p.exact = exact
-        p._terms = {m: c for m, c in terms.items() if c != 0}
+        p._terms = terms
         return p
 
     # -- calculus ----------------------------------------------------------
@@ -249,17 +305,13 @@ class Polynomial:
         if not 1 <= i <= self.dim:
             raise DimensionMismatchError(f"variable index {i} outside 1..{self.dim}")
         out: dict[Mono, Coef] = {}
+        # Distinct monomials have distinct derivatives: no sums arise.
         for m, c in self._terms.items():
-            d = dict(m)
-            p = d.get(i, 0)
-            if p == 0:
-                continue
-            if p == 1:
-                del d[i]
-            else:
-                d[i] = p - 1
-            key = tuple(sorted(d.items()))
-            out[key] = out.get(key, 0) + c * p
+            for j, (var, p) in enumerate(m):
+                if var == i:
+                    lower = ((i, p - 1),) if p > 1 else ()
+                    out[m[:j] + lower + m[j + 1 :]] = c * p
+                    break
         return self._wrap(out, self.exact)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
@@ -359,7 +411,8 @@ class Polynomial:
     def to_double(self) -> "Polynomial":
         if not self.exact:
             return self
-        return self._wrap({m: float(c) for m, c in self._terms.items()}, False)
+        # A tiny exact coefficient can underflow to 0.0.
+        return self._wrap({m: c for m, c in self._coefs(False).items() if c}, False)
 
     def to_exact(self) -> "Polynomial":
         """Lift float coefficients to exact rationals (binary-exact)."""
@@ -427,7 +480,8 @@ class Polynomial:
                     c = Fraction(repr(c))
                 key = _mono([(int(v), int(p)) for v, p in exps], dim)
                 terms[key] = terms.get(key, 0) + (Fraction(c) if exact else float(c))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:  # OverflowError: an int beyond float range
             raise PreconditionError(f"bad polynomial record: {exc}") from exc
         return cls(dim, terms, exact)
 

@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import warnings
 
 import numpy as np
@@ -147,6 +146,20 @@ def test_run_precondition_violation_leaves_no_outputs(tmp_path):
     code = run_cli("run", "--config", cfg_path, "--out", str(out))
     assert code == EXIT_PRECONDITION
     assert not out.exists()
+
+
+def test_failed_run_removes_only_the_directories_it_created(tmp_path):
+    # Fewer than 1000 chain samples fail at run time, after the output
+    # directory exists: the run removes what it made and keeps what it found.
+    cfg_path = write_json(tmp_path / "cfg.json", dict(BASE_CHAIN, samples=500))
+    nested = tmp_path / "a" / "b"
+    assert run_cli("run", "--config", cfg_path, "--out", str(nested)) == EXIT_PRECONDITION
+    assert not (tmp_path / "a").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("x")
+    assert run_cli("run", "--config", cfg_path, "--out", str(kept)) == EXIT_PRECONDITION
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
 
 def test_run_config_error_distinct_exit(tmp_path):
@@ -292,6 +305,18 @@ def test_cli_distance_tv_extreme_analytic_laws(tmp_path, left, right, tv):
             tv, abs=1e-6)
 
 
+def test_cli_distance_narrow_law_passes_the_mass_check(tmp_path):
+    # On a law 1e-9 wide quad returns a mass of 1 + 2.9e-8, inside its own
+    # tolerance plus error estimate; a fixed 1e-9 check refused it (exit 3).
+    out = tmp_path / "d.csv"
+    code = run_cli("distance", "--metric", "kol",
+                   "--left", "analytic:gaussian:mu=3:sigma=1e-9",
+                   "--right", "analytic:gaussian:mu=0:sigma=1", "--out", str(out))
+    assert code == EXIT_OK
+    kol = float(out.read_text().splitlines()[1].split(",")[1])
+    assert kol == pytest.approx(0.5 * math.erfc(-3 / math.sqrt(2)), abs=1e-9)
+
+
 def test_cli_distance_samples_and_poly(tmp_path):
     rng = np.random.default_rng(0)
     sfile = tmp_path / "a.samples"
@@ -371,7 +396,10 @@ def test_cli_non_finite_or_tiny_runs_exit_3(tmp_path, argv, record):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run_cli(*[a.format(cfg=cfg) for a in argv]) == EXIT_PRECONDITION
-    assert list(out.iterdir()) == []
+    if argv[0] == "run":
+        assert not out.exists()  # a failed run removes the directory it made
+    else:
+        assert list(out.iterdir()) == []
     assert [str(w.message) for w in caught] == []
 
 
@@ -685,6 +713,79 @@ def test_cli_fuzzed_arguments_exit_with_documented_code(cli_dir, argv):
     assert "Traceback" not in stderr.getvalue()
 
 
+# -- operator subcommand fuzzing ----------------------------------------------------
+
+# Coefficients: exact, float (tiny, huge, non-finite) and integers up to 10^400.
+COEF = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from(["2/3", "-7/5", "1/0", "x", True, 1e-320, 1e300, 0.1,
+                     math.inf, math.nan, 10**200, -(10**400)]),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _poly_record(draw):
+    dim = draw(st.integers(1, 3))
+    # Variable indices and powers may fall outside 1..dim or the degree limit.
+    exps = st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=3)
+    terms = draw(st.lists(st.fixed_dictionaries({"exps": exps, "coef": COEF}),
+                          max_size=4))
+    return {"dim": draw(st.sampled_from([dim, dim, dim, 0, "x"])), "terms": terms}
+
+
+# An exact family parameter that no float can hold.
+FAMILY_BEYOND_FLOAT = ["--family", "gamma", "--r", str(10**400)]
+
+
+@st.composite
+def _operator_argv(draw):
+    command = draw(st.sampled_from(["generator", "gamma", "decompose", "poincare"]))
+    family = st.one_of(_family_options(), st.just(FAMILY_BEYOND_FLOAT))
+    argv = [command, "--poly", "{p}", *draw(family)]
+    if command == "gamma" and draw(st.booleans()):
+        argv += ["--poly2", "{p2}"]
+    if draw(st.booleans()):
+        argv.append("--exact")
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+FOUND_POINCARE = {"dim": 1, "terms": [{"exps": [[1, 1]], "coef": 10**200}]}
+
+
+@settings(max_examples=150)
+@given(argv=_operator_argv(), record=_poly_record(), record2=_poly_record())
+# Variance 10^400: an OverflowError traceback in float(variance).
+@example(argv=["poincare", "--poly", "{p}", "--family", "gaussian"],
+         record=FOUND_POINCARE, record2=FOUND_POINCARE)
+def test_cli_fuzzed_operator_commands_exit_with_documented_code(cli_dir, argv, record,
+                                                                record2):
+    # Any polynomial and family runs or exits 2, 3 or 4 with a message: never
+    # a traceback, never a NaN or inf in the output, and no output on failure.
+    paths = {"p": cli_dir / "op.json", "p2": cli_dir / "op2.json"}
+    paths["p"].write_text(json.dumps(record))
+    paths["p2"].write_text(json.dumps(record2))
+    argv = [a.format(**paths) for a in argv]
+    out = cli_dir / "op_out.json"
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = run_cli(*argv, "--out", str(out))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if code == EXIT_OK:
+        json.loads(out.read_text(), parse_constant=_refuse_constant)
+    else:
+        assert not out.exists()
+
 
 # -- run fuzzing ----------------------------------------------------------------------
 
@@ -782,7 +883,7 @@ CUSTOM_BEYOND_FLOAT = {"schema": "gamma-lab/1", "scenario": "custom", "samples":
 def test_cli_fuzzed_run_configs_exit_with_documented_code(tmp_path_factory, config,
                                                           threads):
     # Any config runs or exits 2, 3 or 4 with a message: never a traceback,
-    # and a failed run leaves no file behind.
+    # and a failed run leaves no file or directory behind.
     work = tmp_path_factory.mktemp("run")
     if isinstance(config.get("poly_files"), list):
         for i, record in enumerate(config["poly_files"]):
@@ -800,4 +901,4 @@ def test_cli_fuzzed_run_configs_exit_with_documented_code(tmp_path_factory, conf
     if code == EXIT_OK:
         assert (out / "manifest.json").exists()
     else:
-        assert not [files for _, _, files in os.walk(out) if files]
+        assert not out.exists()

@@ -238,3 +238,13 @@ def test_custom_law_must_normalize():
     with pytest.raises(PreconditionError):
         AnalyticLaw.from_density(lambda x: np.full_like(np.asarray(x, float), 2.0),
                                  (0.0, 1.0))
+
+
+def test_custom_law_slightly_off_mass_is_refused():
+    # 1.001 x a density: far outside quad's tolerance plus its error estimate.
+    def pdf(x):
+        x = np.asarray(x, float)
+        return np.where((x >= 0.0) & (x <= 1.0), 1.001, 0.0)
+
+    with pytest.raises(PreconditionError, match="integrates to 1.001"):
+        AnalyticLaw.from_density(pdf, (0.0, 1.0))

@@ -54,6 +54,16 @@ def test_family_parameter_domains():
     assert not gamma(1.5).exact
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 10**400, Fraction(10**400, 3)],
+                         ids=["inf", "nan", "int-1e400", "fraction-1e400"])
+def test_family_parameter_must_be_a_finite_float(value):
+    # Samplers and double-mode operators convert parameters to float.
+    with pytest.raises(PreconditionError, match="not a finite float"):
+        gamma(value)
+    with pytest.raises(PreconditionError, match="not a finite float"):
+        beta(2, value)
+
+
 # -- raw moments ---------------------------------------------------------------
 
 

@@ -188,3 +188,22 @@ def test_json_rejects_garbage():
         Polynomial.from_json("not json")
     with pytest.raises(PreconditionError):
         Polynomial.from_json('{"terms": []}')
+
+
+def test_mixed_mode_prunes_exact_coefficients_that_underflow():
+    # 10^-400 converts to 0.0 in a double result and is never stored.
+    tiny = Polynomial(1, {((1, 1),): Fraction(1, 10**400), (): 1})
+    d = Polynomial(1, {((1, 2),): 0.5}, exact=False)
+    assert (tiny + d).terms == {(): 1.0, ((1, 2),): 0.5}
+    assert list((d + tiny).terms) == [((1, 2),), ()]
+    assert (tiny * d).terms == {((1, 2),): 0.5}
+    assert tiny.to_double().terms == {(): 1.0}
+    assert tiny.scale(0.5).terms == {(): 0.5}
+
+
+def test_mixed_mode_beyond_float_range_is_a_precondition_error():
+    huge = Polynomial(1, {((1, 1),): 10**400})
+    d = Polynomial(1, {(): 0.5}, exact=False)
+    for op in (lambda: huge + d, lambda: d * huge, huge.to_double):
+        with pytest.raises(PreconditionError, match="beyond float range"):
+            op()
