@@ -15,6 +15,10 @@ Subcommands
 Exit codes: 0 success, 2 configuration error, 3 violated precondition
 (e.g. family parameters outside the log-concave range, degenerate chain
 limit, a NaN or infinite output value), 4 failed internal consistency check.
+Option values and spec fields follow the config rules (exit 2): no boolean
+is a number, every number is finite as a float, a seed is >= 0, a sample
+count (--samples, a poly spec's n) is >= 1, and a spec's unknown or stray
+key is rejected.  ``cw-check`` is the cw_sweep scenario on its options.
 
 Input specs for ``distance``:
     @file.samples                           sample column written by the library
@@ -29,20 +33,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .anticoncentration import (
-    DEFAULT_EPS_GRID,
-    MIN_STABILITY_FACTOR,
-    carbery_wright_check,
-    smoothed_indicator_functional,
+from .anticoncentration import DEFAULT_EPS_GRID, smoothed_indicator_functional
+from .config import (
+    CONFIG_SCHEMA,
+    check_keys,
+    read_field,
+    load_config_file,
+    parse_config,
+    parse_family,
 )
-from .config import load_config_file, parse_config, parse_family
 from .distances import (
     AnalyticLaw,
     SampleSet,
@@ -52,7 +57,7 @@ from .distances import (
     total_variation,
 )
 from .errors import ConfigError, ConsistencyError, GammaLabError, PreconditionError
-from .experiments import run_experiment, write_csv
+from .experiments import CW_HEADER, cw_sweep_rows, run_experiment, write_csv
 from .measures import ProductMeasure, finite_float, load_samples
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .operators import poincare_check as _poincare_check
@@ -73,46 +78,15 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", default=None, help="beta parameter b")
 
 
-def _family_from_args(args):
-    record: dict = {"kind": args.family}
-    if args.r is not None:
-        record["r"] = _number(args.r)
-    if args.a is not None:
-        record["a"] = _number(args.a)
-    if args.b is not None:
-        record["b"] = _number(args.b)
-    return parse_family(record)
+def _family_record(args) -> dict:
+    """The family options as a family record of command-line text."""
+    return {"kind": args.family, **{k: getattr(args, k) for k in ("r", "a", "b")
+                                    if getattr(args, k) is not None}}
 
 
-def _number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text  # "p/q" strings are handled by parse_family
-
-
-def _finite(value, what: str, kind=float):
-    """value as a finite float, or as an exact int for kind=int; else ConfigError."""
-    try:
-        number = kind(value)
-        ok = math.isfinite(number) and not (
-            isinstance(value, float) and number != value
-        )
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int beyond float
-        ok = False
-    if not ok:
-        raise ConfigError(f"{what} must be a finite {kind.__name__}, got {value!r}")
-    return number
-
-
-def _finite_list(text: str, what: str) -> np.ndarray:
-    """A comma-separated list of finite floats; any bad item is a ConfigError."""
-    return np.asarray([_finite(item, f"item {i} of {what}")
-                       for i, item in enumerate(text.split(","), 1)])
+def _option(key: str) -> str:
+    """How messages name the option behind a record key: --stability-factor."""
+    return "--" + key.replace("_", "-")
 
 
 def _read_poly(path: str, exact: bool | None) -> Polynomial:
@@ -140,6 +114,11 @@ def _emit(record, out: str | None, indent: int | None = None) -> None:
         sys.stdout.write(text)
 
 
+# The key=value fields each kind of distance spec takes.
+_SPEC_KEYS = {"uniform": (), "cos2": ("n",), "gaussian": ("mu", "sigma"),
+              "poly": ("family", "r", "a", "b", "n", "seed")}
+
+
 def _parse_spec(spec: str, seed: int):
     """Turn a distance input spec into a SampleSet or AnalyticLaw."""
     if spec.startswith("@"):
@@ -151,44 +130,36 @@ def _parse_spec(spec: str, seed: int):
             raise ConfigError(f"sample file {spec[1:]} is empty")
         return SampleSet(values, seed=int(meta.get("seed", 0)),
                          provenance=meta.get("provenance", spec[1:]))
-    fields = spec.split(":")
-    kind = fields[0]
-    opts: dict[str, str] = {}
-    extra: list[str] = []
-    for item in fields[1:]:
-        if "=" in item:
-            key, _, val = item.partition("=")
-            opts[key] = val
+    kind, *items = spec.split(":")
+    name, opts = None, {}
+    for item in items:
+        key, eq, val = item.partition("=")
+        if eq or name is not None:
+            opts[key] = val if eq else None  # a stray token is a key without a value
         else:
-            extra.append(item)
-    if kind == "analytic":
-        if not extra:
-            raise ConfigError(f"analytic spec needs a law name: {spec!r}")
-        name = extra[0]
-        if name == "uniform":
-            return AnalyticLaw.uniform_0_pi()
-        if name == "cos2":
-            return AnalyticLaw.cos2(_finite(opts.get("n", "1"), f"n of {spec!r}", int))
-        if name == "gaussian":
-            return AnalyticLaw.gaussian(
-                _finite(opts.get("mu", "0"), f"mu of {spec!r}"),
-                _finite(opts.get("sigma", "1"), f"sigma of {spec!r}"),
-            )
-        raise ConfigError(f"unknown analytic law {name!r}")
-    if kind == "poly":
-        if not extra or not extra[0].startswith("@"):
-            raise ConfigError(f"poly spec needs @file.json: {spec!r}")
-        q = _read_poly(extra[0][1:], exact=None)
-        family = parse_family(
-            {k: (_number(v) if k != "kind" else v)
-             for k, v in [("kind", opts.get("family"))] + [
-                 (key, opts[key]) for key in ("r", "a", "b") if key in opts
-             ]}
-        )
-        n = _finite(opts.get("n", "100000"), f"n of {spec!r}", int)
-        spec_seed = _finite(opts.get("seed", str(seed)), f"seed of {spec!r}", int)
-        return functional_samples(q, ProductMeasure(family, q.dim), n, spec_seed)
-    raise ConfigError(f"cannot parse input spec {spec!r}")
+            name = item
+    if kind == "analytic" and name in ("uniform", "cos2", "gaussian"):
+        law = name
+    elif kind == "poly" and name and name.startswith("@"):
+        law = kind
+    else:
+        raise ConfigError(f"cannot parse input spec {spec!r}: expected @file, "
+                          "analytic:uniform|cos2|gaussian or poly:@file.json")
+    check_keys(opts, _SPEC_KEYS[law], f"keys in spec {spec!r}")
+    where = f"{{}} of {spec!r}".format
+    if law == "uniform":
+        return AnalyticLaw.uniform_0_pi()
+    if law == "cos2":
+        return AnalyticLaw.cos2(read_field(opts, "n", int, default=1, text=where))
+    if law == "gaussian":
+        return AnalyticLaw.gaussian(read_field(opts, "mu", float, default=0.0, text=where),
+                                    read_field(opts, "sigma", float, default=1.0, text=where))
+    q = _read_poly(name[1:], exact=None)
+    family = parse_family({"kind": opts.get("family"),
+                           **{k: opts[k] for k in ("r", "a", "b") if k in opts}}, where)
+    n = read_field(opts, "n", "samples", default=100_000, text=where)
+    spec_seed = read_field(opts, "seed", default=seed, text=where)
+    return functional_samples(q, ProductMeasure(family, q.dim), n, spec_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +179,7 @@ def _cmd_run(args) -> int:
 def _cmd_operator(args, what: str) -> int:
     exact = True if args.exact else None
     f = _read_poly(args.poly, exact)
-    family = _family_from_args(args)
+    family = parse_family(_family_record(args), _option)
     op = DiffusionOperator(family, f.dim)
     if what == "generator":
         _emit(apply_generator(op, f).to_json_dict(), args.out)
@@ -241,8 +212,9 @@ def _cmd_operator(args, what: str) -> int:
 
 
 def _cmd_distance(args) -> int:
-    left = _parse_spec(args.left, args.seed)
-    right = _parse_spec(args.right, args.seed)
+    seed = read_field(vars(args), "seed", text=_option)
+    left = _parse_spec(args.left, seed)
+    right = _parse_spec(args.right, seed)
     metric = {"kol": kolmogorov, "fm": fortet_mourier, "tv": total_variation}[
         args.metric
     ]
@@ -257,24 +229,15 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_cw_check(args) -> int:
+    # The cw_sweep scenario on a record of the options, without a manifest.
     q = _read_poly(args.poly, None)
-    family = _family_from_args(args)
-    alphas = _finite_list(args.alphas, "--alphas")
-    if args.stability_factor is not None and args.stability_factor < MIN_STABILITY_FACTOR:
-        raise ConfigError(
-            f"--stability-factor must be >= {MIN_STABILITY_FACTOR}, "
-            f"got {args.stability_factor}"
-        )
-    report = carbery_wright_check(
-        q, ProductMeasure(family, q.dim), alphas, args.samples, args.seed,
-        stability_factor=args.stability_factor,
-    )
-    rows = [
-        [a, p, s, r]
-        for a, p, s, r in zip(report.curve.alphas, report.curve.probs,
-                              report.curve.stderrs, report.ratios)
-    ]
-    write_csv(args.out or "cw_check.csv", ["alpha", "estimate", "stderr", "ratio"], rows)
+    config = parse_config({
+        "schema": CONFIG_SCHEMA, "scenario": "cw_sweep", "family": _family_record(args),
+        "poly": q.to_json_dict(), "alphas": args.alphas, "samples": args.samples,
+        "seed": args.seed, "stability_factor": args.stability_factor,
+    }, text=_option)
+    rows, report = cw_sweep_rows(config, q)
+    write_csv(args.out or "cw_check.csv", CW_HEADER, rows)
     sys.stderr.write(
         f"c_hat={report.c_hat} refined={report.c_hat_refined} stable={report.stable}\n"
     )
@@ -283,10 +246,12 @@ def _cmd_cw_check(args) -> int:
 
 def _cmd_smoothed(args) -> int:
     q = _read_poly(args.poly, None)
-    family = _family_from_args(args)
+    family = parse_family(_family_record(args), _option)
     mu = ProductMeasure(family, q.dim)
-    eps = _finite_list(args.eps, "--eps") if args.eps is not None else DEFAULT_EPS_GRID
-    est, se = smoothed_indicator_functional(q, mu, eps, args.samples, args.seed)
+    seed, samples = (read_field(vars(args), key, text=_option) for key in ("seed", "samples"))
+    eps = DEFAULT_EPS_GRID if args.eps is None else np.asarray(
+        read_field(vars(args), "eps", [float], text=_option))
+    est, se = smoothed_indicator_functional(q, mu, eps, samples, seed)
     deg = q.degree() or 1
     ratios = est / eps ** (1.0 / (2 * deg + 1))
     rows = [[e, v, s, r] for e, v, s, r in zip(eps, est, se, ratios)]
@@ -299,23 +264,13 @@ def _cmd_tv_bound(args) -> int:
     raw = load_config_file(args.config)
     if not isinstance(raw, dict):
         raise ConfigError("tv-bound config must be a JSON object")
-    allowed = {"d_fm", "kappa", "degree", "budget_sup", "alpha", "eps"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown tv-bound keys: {sorted(unknown)}")
-    try:
-        d_fm, kappa, budget = (
-            _finite(raw[k], k) for k in ("d_fm", "kappa", "budget_sup")
-        )
-        degree = _finite(raw["degree"], "degree", int)
-    except KeyError as exc:
-        raise ConfigError(f"tv-bound config missing {exc}") from exc
+    check_keys(raw, ("d_fm", "kappa", "degree", "budget_sup", "alpha", "eps"),
+               "tv-bound keys")
+    d_fm, kappa, budget = (read_field(raw, k, float) for k in ("d_fm", "kappa", "budget_sup"))
+    degree = read_field(raw, "degree", int)
     if args.mode == "evaluate":
-        try:
-            alpha, eps = _finite(raw["alpha"], "alpha"), _finite(raw["eps"], "eps")
-            report = evaluate_bound(d_fm, kappa, degree, budget, alpha, eps)
-        except KeyError as exc:
-            raise ConfigError(f"tv-bound evaluate needs {exc}") from exc
+        report = evaluate_bound(d_fm, kappa, degree, budget,
+                                read_field(raw, "alpha", float), read_field(raw, "eps", float))
     else:
         report = optimize_bound(d_fm, kappa, degree, budget)
     header = ["d_fm", "kappa", "degree", "budget_sup", "alpha", "eps",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,70 +78,105 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _parse_param(value, name: str):
-    """Family parameters: ints and 'p/q' strings stay exact, floats stay float."""
-    if isinstance(value, bool):
-        raise ConfigError(f"family parameter {name} must be a number")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ConfigError(f"family parameter {name} must be finite, got {value}")
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot parse family parameter {name}={value!r}") from exc
-    raise ConfigError(f"family parameter {name} must be a number, got {type(value)!r}")
+_REQUIRED = object()
+
+# The one rule (kind, minimum) of each numeric config key.  A CLI option or
+# a distance-spec field that stands for the same quantity is checked by it.
+_KEY_RULES = {
+    "seed": (int, 0),
+    "samples": (int, 1),
+    "replicates": (int, 1),
+    "stability_factor": (int, MIN_STABILITY_FACTOR),
+}
 
 
-def parse_family(data) -> MeasureFamily:
+def check_keys(record, allowed, what: str) -> None:
+    """The one unknown-key check of a keyed record: a config, a family, a
+    tv-bound file or a distance spec's key=value fields."""
+    unknown = set(record) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
+def read_field(record: dict, key: str, kind=None, minimum=None, *,
+               default=_REQUIRED, text=None):
+    """``record[key]`` under the one rule for numeric inputs, or ConfigError.
+
+    Config keys, CLI option values, tv-bound records and distance-spec
+    fields all come through here.  ``kind`` is int, float, Fraction (a
+    family parameter), ``[kind]`` for a list, or a config key whose rule
+    applies (None: the rule of ``key``).  A boolean is never a number, nor
+    is a string, except a family parameter's "p/q".  An int field takes
+    integers, a float field ints and floats, each finite as a float; a
+    family parameter keeps an int exact for the family to check.  ``text``
+    marks command-line text: its strings are read as the int or float they
+    spell, a list as comma-separated items, and it names the key in
+    messages (``--alphas``).  An absent key gives ``default`` if there is one.
+    """
+    name = text(key) if text else key
+    if key not in record:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {name}")
+        return default
+    if kind is None or isinstance(kind, str):
+        kind, minimum = _KEY_RULES[kind or key]
+    value = record[key]
+    many = isinstance(kind, list)
+    if many:
+        kind = kind[0]
+        if text and isinstance(value, str):
+            value = value.split(",")
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+    checked = []
+    for i, v in enumerate(value if many else [value], 1):
+        label = f"item {i} of {name}" if many else name
+        for spell in (int, float) if text and isinstance(v, str) else ():
+            try:
+                v = spell(v)
+                break
+            except ValueError:
+                pass
+        if kind is Fraction and isinstance(v, str):
+            try:
+                v = Fraction(v)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"{label} must be a number or 'p/q', got {v!r}") from None
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{label} must be a number, got {v!r}")
+        elif kind is int and not isinstance(v, int):
+            raise ConfigError(f"{label} must be an integer, got {v!r}")
+        elif kind is not Fraction or isinstance(v, float):
+            if not abs(v) <= sys.float_info.max:  # NaN, inf, an int beyond float range
+                raise ConfigError(f"{label} must be finite as a float, got {v!r}")
+            v = float(v) if kind is float else v
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"{label} must be >= {minimum}, got {v}")
+        checked.append(v)
+    return checked if many else checked[0]
+
+
+_FAMILIES = {"gaussian": (gaussian, ()), "gamma": (gamma, ("r",)), "beta": (beta, ("a", "b"))}
+
+
+def parse_family(data, text=None) -> MeasureFamily:
+    """A family record {kind, r?, a?, b?}; ``text`` as in :func:`read_field`."""
     if not isinstance(data, dict):
         raise ConfigError("family must be an object {kind, r?, a?, b?}")
-    unknown = set(data) - {"kind", "r", "a", "b"}
-    if unknown:
-        raise ConfigError(f"unknown family keys: {sorted(unknown)}")
     kind = data.get("kind")
-    if kind == "gaussian":
-        if set(data) - {"kind"}:
-            raise ConfigError("gaussian family takes no parameters")
-        return gaussian()
-    if kind == "gamma":
-        if "r" not in data or set(data) - {"kind", "r"}:
-            raise ConfigError("gamma family takes exactly the parameter r")
-        return gamma(_parse_param(data["r"], "r"))
-    if kind == "beta":
-        if "a" not in data or "b" not in data or set(data) - {"kind", "a", "b"}:
-            raise ConfigError("beta family takes exactly the parameters a, b")
-        return beta(_parse_param(data["a"], "a"), _parse_param(data["b"], "b"))
-    raise ConfigError(f"unknown family kind {kind!r}")
+    if kind not in _FAMILIES:
+        raise ConfigError(f"unknown family kind {kind!r}")
+    make, params = _FAMILIES[kind]
+    check_keys(data, {"kind", *params}, f"{kind} family keys")
+    return make(*(read_field(data, key, Fraction, text=text) for key in params))
 
 
-def _require_int(data, key, minimum=None) -> int:
-    value = data.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
+def parse_config(data: dict, text=None) -> ExperimentConfig:
+    """Validate a raw config dict; raises ConfigError on any schema problem.
 
-
-def _parse_n_grid(data) -> tuple[int, ...]:
-    grid = data.get("n_grid")
-    if (
-        not isinstance(grid, list)
-        or not grid
-        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in grid)
-    ):
-        raise ConfigError("n_grid must be a nonempty list of positive integers")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("n_grid must be strictly ascending")
-    return tuple(grid)
-
-
-def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a raw config dict; raises ConfigError on any schema problem."""
+    ``text`` is for a record that a front-end builds from its command-line
+    options: it names each key as the option typed (see :func:`read_field`).
+    """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     if data.get("schema") != CONFIG_SCHEMA:
@@ -151,26 +186,31 @@ def parse_config(data: dict) -> ExperimentConfig:
     scenario = data.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    allowed = _ALLOWED_KEYS[scenario]
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys for scenario {scenario}: {sorted(unknown)}"
-        )
-    seed = _require_int(data, "seed", minimum=0) if "seed" in data else 0
+    check_keys(data, _ALLOWED_KEYS[scenario], f"config keys for scenario {scenario}")
+
+    def ascending(key, kind, default=_REQUIRED):
+        values = read_field(data, key, [kind], default=default, text=text)
+        if values is not None and (
+            not values or values[0] <= 0 or any(b <= a for a, b in zip(values, values[1:]))
+        ):
+            name = text(key) if text else key
+            raise ConfigError(f"{name} must be a nonempty, positive, ascending list")
+        return values and tuple(values)
+
+    seed = read_field(data, "seed", default=0, text=text)
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")
 
     family = None
     if "family" in data:
-        family = parse_family(data["family"])
+        family = parse_family(data["family"], text)
     elif scenario in _DEFAULT_FAMILY:
         family = _DEFAULT_FAMILY[scenario]()
 
     kwargs: dict = {}
     if scenario == "cos2_counterexample":
-        kwargs["n_grid"] = _parse_n_grid(data)
+        kwargs["n_grid"] = ascending("n_grid", int)
     elif scenario in _CHAIN_SCENARIOS:
         if scenario == "custom":
             files = data.get("poly_files")
@@ -180,7 +220,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigError("poly_files must be a nonempty list of paths")
             kwargs["poly_files"] = tuple(files)
         else:
-            kwargs["n_grid"] = _parse_n_grid(data)
+            kwargs["n_grid"] = ascending("n_grid", int)
         if scenario == "tv_chain":
             seq = data.get("sequence")
             if seq not in ("clt_linear", "chaos2"):
@@ -192,12 +232,8 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigError("tv_chain requires a family")
         if scenario == "custom" and family is None:
             raise ConfigError("custom scenario requires a family")
-        kwargs["samples"] = (
-            _require_int(data, "samples", minimum=1) if "samples" in data else 1_000_000
-        )
-        kwargs["replicates"] = (
-            _require_int(data, "replicates", minimum=1) if "replicates" in data else 1
-        )
+        kwargs["samples"] = read_field(data, "samples", default=1_000_000, text=text)
+        kwargs["replicates"] = read_field(data, "replicates", default=1, text=text)
     elif scenario == "cw_sweep":
         if family is None:
             raise ConfigError("cw_sweep requires a family")
@@ -205,26 +241,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not isinstance(poly, dict):
             raise ConfigError("cw_sweep requires an inline poly record")
         kwargs["poly"] = poly
-        alphas = data.get("alphas")
-        if alphas is not None:
-            if (
-                not isinstance(alphas, list)
-                or not alphas
-                or not all(isinstance(a, (int, float)) and a > 0 for a in alphas)
-                or any(b <= a for a, b in zip(alphas, alphas[1:]))
-            ):
-                raise ConfigError("alphas must be a positive ascending list")
-            kwargs["alphas"] = tuple(float(a) for a in alphas)
-        else:
-            kwargs["alphas"] = tuple(10.0 ** (-3 + i / 4) for i in range(13))
-        kwargs["samples"] = (
-            _require_int(data, "samples", minimum=1) if "samples" in data else 1_000_000
+        kwargs["alphas"] = ascending("alphas", float, default=None) or tuple(
+            10.0 ** (-3 + i / 4) for i in range(13)
         )
-        if "stability_factor" in data:
-            sf = data["stability_factor"]
-            if sf is not None:
-                sf = _require_int(data, "stability_factor", minimum=MIN_STABILITY_FACTOR)
-            kwargs["stability_factor"] = sf
+        kwargs["samples"] = read_field(data, "samples", default=1_000_000, text=text)
+        if data.get("stability_factor", 0) is None:
+            kwargs["stability_factor"] = None
+        elif "stability_factor" in data:
+            kwargs["stability_factor"] = read_field(data, "stability_factor", text=text)
 
     return ExperimentConfig(
         scenario=scenario, seed=seed, family=family, out=out, raw=dict(data), **kwargs

@@ -49,6 +49,7 @@ from .poly import Polynomial
 GRID_POINTS = 2048
 RANGE_EXPANSION = 0.05
 QUAD_TOL = 1.49e-8  # scipy quad's default epsabs and epsrel
+ROOT_XTOL = 1e-13  # brentq's xtol for density crossings (its rtol is 4 eps)
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ def _sign_change_roots(fn, lo: float, hi: float, npts: int) -> np.ndarray:
     # wide grid) yields its last estimate, still inside the bracket.
     roots = [
         brentq(lambda t: float(fn(np.asarray(t))), grid[i], grid[i + 1],
-               xtol=1e-13, disp=False)
+               xtol=ROOT_XTOL, disp=False)
         for i in idx
     ]
     # Exact zeros on the grid count as crossings too.
@@ -299,9 +300,14 @@ def _tv_analytic(x: AnalyticLaw, y: AnalyticLaw) -> DistanceReport:
 
 
 def _integrate_abs(fn, lo: float, hi: float, npts: int) -> tuple[float, float]:
-    """integral of |fn| via piecewise quadrature between sign changes."""
+    """integral of |fn| via piecewise quadrature between sign changes.
+
+    A root within brentq's tolerance of lo or hi is that edge (a density
+    jumping there reads as a crossing), so no sliver piece is cut off.
+    """
     cuts = _sign_change_roots(fn, lo, hi, npts)
-    edges = np.concatenate([[lo], cuts[(cuts > lo) & (cuts < hi)], [hi]])
+    tol = ROOT_XTOL + 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    edges = np.concatenate([[lo], cuts[(cuts > lo + tol) & (cuts < hi - tol)], [hi]])
     total = 0.0
     err = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

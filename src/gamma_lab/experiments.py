@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .anticoncentration import carbery_wright_check
+from .anticoncentration import CWReport, carbery_wright_check
 from .config import (
     MANIFEST_SCHEMA,
     ExperimentConfig,
@@ -159,24 +159,30 @@ def _run_chain(
     return [path, summary], timings, diagnostics
 
 
+CW_HEADER = ["alpha", "estimate", "stderr", "ratio"]
+
+
+def cw_sweep_rows(config: ExperimentConfig, q: Polynomial) -> tuple[list[list], CWReport]:
+    """The small-ball sweep of a cw_sweep config on q: CSV rows and report.
+
+    The scenario and the ``cw-check`` command both compute through here.
+    """
+    report = carbery_wright_check(
+        q, ProductMeasure(config.family, q.dim), np.asarray(config.alphas),
+        config.samples, config.seed, stability_factor=config.stability_factor,
+    )
+    curve = report.curve
+    rows = [list(r) for r in zip(curve.alphas, curve.probs, curve.stderrs, report.ratios)]
+    return rows, report
+
+
 def _run_cw_sweep(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict, dict]:
     q = Polynomial.from_json_dict(config.poly)
-    mu = ProductMeasure(config.family, q.dim)
     t0 = time.time()
-    report = carbery_wright_check(
-        q, mu, np.asarray(config.alphas), config.samples, config.seed,
-        stability_factor=config.stability_factor,
-    )
+    rows, report = cw_sweep_rows(config, q)
     timings = {"sweep_s": round(time.time() - t0, 3)}
-    rows = [
-        [a, p, s, r]
-        for a, p, s, r in zip(
-            report.curve.alphas, report.curve.probs,
-            report.curve.stderrs, report.ratios,
-        )
-    ]
     path = os.path.join(out_dir, "cw_sweep.csv")
-    write_csv(path, ["alpha", "estimate", "stderr", "ratio"], rows)
+    write_csv(path, CW_HEADER, rows)
     # The fit and its stability check at stability_factor x the samples;
     # the refined fields are null when stability_factor is null.
     diagnostics = {

@@ -72,6 +72,12 @@ NEGATIVE_CONFIGS = [
      "poly": {"dim": 1, "terms": []}, "alphas": [0.2, 0.1]},  # alphas not ascending
     {"schema": "gamma-lab/1", "scenario": "custom", "poly_files": [],
      "family": {"kind": "gaussian"}},  # empty file list
+    {"schema": "gamma-lab/1", "scenario": "cw_sweep",
+     "family": {"kind": "gaussian"},
+     "poly": {"dim": 1, "terms": []}, "alphas": [0.5, True]},  # a boolean alpha
+    {"schema": "gamma-lab/1", "scenario": "cw_sweep",
+     "family": {"kind": "gaussian"},
+     "poly": {"dim": 1, "terms": []}, "alphas": [0.5, math.inf]},  # an infinite alpha
 ]
 
 
@@ -305,6 +311,19 @@ def test_cli_distance_tv_extreme_analytic_laws(tmp_path, left, right, tv):
             tv, abs=1e-6)
 
 
+def test_cli_distance_tv_density_jump_at_an_interval_edge(tmp_path):
+    # The uniform density jumps to 0 at pi; brentq placed a "crossing" 7.6e-14
+    # past it and quad failed on that sliver (exit 3).  Reference: 1 - the
+    # integral over [0, pi] of min(N(1, 0.4) density, 1/pi), by scipy.stats.
+    out = tmp_path / "d.csv"
+    code = run_cli("distance", "--metric", "tv",
+                   "--left", "analytic:gaussian:mu=1:sigma=0.4",
+                   "--right", "analytic:uniform", "--out", str(out))
+    assert code == EXIT_OK
+    tv = float(out.read_text().splitlines()[1].split(",")[1])
+    assert tv == pytest.approx(0.4906482900, abs=1e-8)
+
+
 def test_cli_distance_narrow_law_passes_the_mass_check(tmp_path):
     # On a law 1e-9 wide quad returns a mass of 1 + 2.9e-8, inside its own
     # tolerance plus error estimate; a fixed 1e-9 check refused it (exit 3).
@@ -356,6 +375,22 @@ def test_cli_distance_bad_spec(tmp_path):
     (["generator", "--poly", "{nocoef}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{badcoef}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{nodim}", "--family", "gaussian"], EXIT_PRECONDITION),
+    # A spec's key=value fields: a misspelled or stray key is an error, and a
+    # seed or sample count follows the config rule (seed >= 0, samples >= 1).
+    (["distance", "--metric", "kol", "--left", "analytic:gaussian:mu=0:sigmaa=3",
+      "--right", "analytic:gaussian"], EXIT_CONFIG),
+    (["distance", "--metric", "kol", "--left", "poly:@{q}:family=gaussian:sed=4",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "kol", "--left", "analytic:gaussian:extra",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "kol", "--left", "analytic:uniform:n=7",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "kol", "--left", "poly:@{q}:family=gaussian:n=100:seed=-4",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "kol", "--left", "poly:@{q}:family=gaussian:n=0",
+      "--right", "analytic:uniform"], EXIT_CONFIG),
+    (["distance", "--metric", "kol", "--left", "poly:@{q}:family=gaussian:n=100",
+      "--right", "analytic:uniform", "--seed", "-1"], EXIT_CONFIG),
 ])
 def test_cli_malformed_input_exit_codes(tmp_path, argv, code):
     files = {
@@ -508,14 +543,24 @@ def test_cli_smoothed_functional(tmp_path):
     ["cw-check", "--stability-factor", "0"],
     ["cw-check", "--stability-factor", "-3"],
     ["cw-check", "--stability-factor", "1"],
+    ["cw-check", "--samples", "0"],
+    ["cw-check", "--alphas", "-1,0.5"],
+    ["cw-check", "--alphas", "0.5,0.1"],
+    ["cw-check", "--seed", "-1"],
+    ["smoothed-functional", "--samples", "0"],
+    ["smoothed-functional", "--seed", "-1"],
 ], ids=["alphas-empty", "alphas-empty-item", "alphas-nan", "eps-word",
-        "eps-overflow", "stability-0", "stability-negative", "stability-1"])
+        "eps-overflow", "stability-0", "stability-negative", "stability-1",
+        "samples-0", "alphas-negative", "alphas-descending", "seed-negative",
+        "smoothed-samples-0", "smoothed-seed-negative"])
 def test_cli_bad_sweep_options_exit_2(tmp_path, capsys, argv):
     qfile = tmp_path / "q.json"
     qfile.write_text(Polynomial.variable(1, 1).to_json())
     out = tmp_path / "out.csv"
-    code = run_cli(*argv, "--poly", str(qfile), "--family", "gaussian",
-                   "--samples", "100", "--out", str(out))
+    # The option under test comes last, as --option=value, so it overrides
+    # --samples 100 and its value may begin with a minus sign.
+    code = run_cli(argv[0], "--poly", str(qfile), "--family", "gaussian",
+                   "--samples", "100", "=".join(argv[1:]), "--out", str(out))
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert argv[1] in err and "Traceback" not in err
@@ -556,6 +601,9 @@ def test_cli_tv_bound_unknown_key(tmp_path):
     {"d_fm": "nan", "kappa": 1, "degree": 1, "budget_sup": 1, "eps": "inf", "alpha": 0.1},
     {"d_fm": 0.1, "kappa": 1, "degree": "x", "budget_sup": 1, "eps": 0.1, "alpha": 0.1},
     {"d_fm": 0.1, "kappa": 1, "degree": 2.5, "budget_sup": 1, "eps": 0.1, "alpha": 0.1},
+    {"d_fm": True, "kappa": 1, "degree": 1, "budget_sup": 1, "eps": 0.1, "alpha": 0.1},
+    {"d_fm": "0.1", "kappa": 1, "degree": 1, "budget_sup": 1, "eps": 0.1, "alpha": 0.1},
+    {"d_fm": 0.1, "kappa": 1, "degree": 2.0, "budget_sup": 1, "eps": 0.1, "alpha": 0.1},
 ])
 @pytest.mark.parametrize("mode", ["evaluate", "optimize"])
 def test_cli_tv_bound_rejects_non_numbers(tmp_path, record, mode):
@@ -649,6 +697,11 @@ def _family_options(draw):
     return options
 
 
+def _misspell_sometimes(spec):
+    # The spec as drawn, or with its first key misspelled (an unknown key).
+    return st.sampled_from([spec, spec, spec.replace("=", "x=", 1)])
+
+
 @st.composite
 def _cli_argv(draw):
     command = draw(st.sampled_from(
@@ -665,7 +718,7 @@ def _cli_argv(draw):
     if command == "tv-bound":
         value = st.one_of(st.floats(allow_nan=False), st.integers(-10, 10),
                           st.integers(min_value=2**1100, max_value=2**1100 + 1),
-                          st.text(max_size=3))
+                          st.text(max_size=3), st.booleans(), NUMBER_TEXT)
         keys = ["d_fm", "kappa", "degree", "budget_sup", "alpha", "eps"]
         record = {k: draw(value) for k in keys if draw(st.integers(0, 9))}
         return [command, draw(st.sampled_from(["evaluate", "optimize"])),
@@ -675,7 +728,7 @@ def _cli_argv(draw):
         st.builds("analytic:cos2:n={}".format, NUMBER_TEXT),
         st.just("analytic:uniform"),
         st.builds("poly:@{{q}}:family=gamma:r={}:n={}".format, NUMBER_TEXT, SAMPLES),
-    )
+    ).flatmap(_misspell_sometimes)
     return [command, "--metric", draw(st.sampled_from(["kol", "fm", "tv"])),
             "--left", draw(law), "--right", draw(law)]
 
@@ -902,3 +955,65 @@ def test_cli_fuzzed_run_configs_exit_with_documented_code(tmp_path_factory, conf
         assert (out / "manifest.json").exists()
     else:
         assert not out.exists()
+
+
+# -- cw-check against the cw_sweep scenario -------------------------------------------
+
+CW_POLY = {"dim": 2, "terms": [{"exps": [[1, 1], [2, 1]], "coef": 1},
+                               {"exps": [[1, 1]], "coef": "1/2"}]}
+
+
+def _family_argv(family):
+    return ["--family", family["kind"],
+            *[arg for key in ("r", "a", "b") if key in family
+              for arg in (f"--{key}", str(family[key]))]]
+
+
+# Mostly values that run, so that many examples compare CSV bytes.
+VALID_PARAM = st.sampled_from([1, 2, 3, "5/2", 2.5, 1.0])
+CW_FAMILY = st.one_of(
+    st.just({"kind": "gaussian"}),
+    st.builds(lambda r: {"kind": "gamma", "r": r}, VALID_PARAM),
+    st.builds(lambda a, b: {"kind": "beta", "a": a, "b": b}, VALID_PARAM, VALID_PARAM),
+    FAMILY,
+)
+VALID_ALPHAS = st.lists(st.floats(1e-4, 10), min_size=1, max_size=4, unique=True).map(sorted)
+CW_ALPHAS = st.one_of(
+    VALID_ALPHAS, VALID_ALPHAS, ALPHAS,
+    st.lists(st.sampled_from([0.5, True, -1.0, 0.0]), max_size=3),
+)
+
+
+@settings(max_examples=100)
+@given(seed=st.one_of(st.integers(0, 2**64), st.integers(-2, 9)),
+       samples=st.integers(-1, 3000),
+       alphas=CW_ALPHAS,
+       stability_factor=st.one_of(st.none(), st.integers(-1, 4)),
+       family=CW_FAMILY)
+@example(seed=1, samples=0, alphas=[0.1, 1.0], stability_factor=None,
+         family={"kind": "gaussian"})
+@example(seed=-1, samples=500, alphas=[0.1, 1.0], stability_factor=None,
+         family={"kind": "gaussian"})
+def test_cw_check_matches_cw_sweep_run(tmp_path_factory, seed, samples, alphas,
+                                       stability_factor, family):
+    # cw-check is the cw_sweep scenario on a record of its options: the same
+    # exit code for the same values, and on success the same CSV bytes.
+    work = tmp_path_factory.mktemp("cw")
+    record = {"schema": "gamma-lab/1", "scenario": "cw_sweep", "seed": seed,
+              "samples": samples, "family": family, "alphas": alphas,
+              "poly": CW_POLY, "stability_factor": stability_factor}
+    cfg = write_json(work / "cfg.json", record)
+    qfile = write_json(work / "q.json", CW_POLY)
+    argv = ["cw-check", "--poly", qfile, *_family_argv(family),
+            "--seed", str(seed), "--samples", str(samples),
+            "--alphas=" + ",".join(repr(a) for a in alphas),
+            "--out", str(work / "cw_check.csv")]
+    if stability_factor is not None:
+        argv += ["--stability-factor", str(stability_factor)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        check_code = run_cli(*argv)
+        run_code = run_cli("run", "--config", cfg, "--out", str(work / "run"))
+    assert check_code == run_code
+    if run_code == EXIT_OK:
+        assert (read_bytes(work / "cw_check.csv")
+                == read_bytes(work / "run" / "cw_sweep.csv"))
