@@ -165,9 +165,8 @@ def kappa_envelope(gammas, eps_grid, d: int, se_margin: float) -> float:
     return float(kappa)
 
 
-def _gamma_values(q, mu, n, seed, gamma_q=None) -> np.ndarray:
-    if gamma_q is None:
-        gamma_q = carre_du_champ(DiffusionOperator(mu.family, mu.dim), q)
+def _gamma_values(q, mu, n, seed) -> np.ndarray:
+    gamma_q = carre_du_champ(DiffusionOperator(mu.family, mu.dim), q)
     return functional_values(gamma_q, mu, n, seed, "smoothed-indicator")
 
 
@@ -177,18 +176,17 @@ def smoothed_indicator_functional(
     eps,
     n: int,
     seed: int,
-    gamma_q: Polynomial | None = None,
 ):
     """E[ eps / (Gamma(Q) + eps) ] by Monte Carlo, with standard errors.
 
     ``eps`` may be a scalar or a grid; a grid shares one sample pool, so the
     estimates are exactly nonincreasing as eps decreases.  Gamma(Q) is
-    computed symbolically (or supplied precomputed via ``gamma_q``).
+    computed symbolically.
     """
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
     if np.any(eps_arr <= 0):
         raise PreconditionError("eps must be positive")
-    est, se = _smoothed_indicator(_gamma_values(q, mu, n, seed, gamma_q), eps_arr)
+    est, se = _smoothed_indicator(_gamma_values(q, mu, n, seed), eps_arr)
     if np.isscalar(eps) or np.ndim(eps) == 0:
         return float(est[0]), float(se[0])
     return est, se

@@ -176,7 +176,8 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_operator(args, what: str) -> int:
+def _cmd_operator(args) -> int:
+    what = args.command
     exact = True if args.exact else None
     f = _read_poly(args.poly, exact)
     family = parse_family(_family_record(args), _option)
@@ -339,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--threads", type=int, default=None)
+    p_run.set_defaults(handler=_cmd_run)
 
     for name in ("generator", "gamma", "decompose", "poincare"):
         p = sub.add_parser(name, help=f"{name} of a polynomial")
@@ -349,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exact", action="store_true",
                        help="force exact rational coefficients")
         p.add_argument("--out", default=None)
+        p.set_defaults(handler=_cmd_operator)
 
     p_dist = sub.add_parser("distance", help="distance between two inputs")
     p_dist.add_argument("--metric", required=True, choices=["kol", "fm", "tv"])
@@ -356,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--right", required=True)
     p_dist.add_argument("--seed", type=int, default=0)
     p_dist.add_argument("--out", default=None)
+    p_dist.set_defaults(handler=_cmd_distance)
 
     p_cw = sub.add_parser("cw-check", help="small-ball ratio sweep")
     p_cw.add_argument("--poly", required=True)
@@ -365,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cw.add_argument("--seed", type=int, default=0)
     p_cw.add_argument("--stability-factor", type=int, default=None, dest="stability_factor")
     p_cw.add_argument("--out", default=None)
+    p_cw.set_defaults(handler=_cmd_cw_check)
 
     p_sm = sub.add_parser("smoothed-functional", help="smoothed indicator functional")
     p_sm.add_argument("--poly", required=True)
@@ -373,39 +378,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sm.add_argument("--samples", type=int, default=1_000_000)
     p_sm.add_argument("--seed", type=int, default=0)
     p_sm.add_argument("--out", default=None)
+    p_sm.set_defaults(handler=_cmd_smoothed)
 
     p_tv = sub.add_parser("tv-bound", help="evaluate/optimize the TV bound")
     p_tv.add_argument("mode", choices=["evaluate", "optimize"])
     p_tv.add_argument("--config", required=True)
     p_tv.add_argument("--out", default=None)
+    p_tv.set_defaults(handler=_cmd_tv_bound)
 
     p_plot = sub.add_parser("emit-plot", help="CSV to gnuplot-style columns")
     p_plot.add_argument("csv")
     p_plot.add_argument("--columns", default=None)
     p_plot.add_argument("--out", default=None)
+    p_plot.set_defaults(handler=_cmd_emit_plot)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command in ("generator", "gamma", "decompose", "poincare"):
-            return _cmd_operator(args, args.command)
-        if args.command == "distance":
-            return _cmd_distance(args)
-        if args.command == "cw-check":
-            return _cmd_cw_check(args)
-        if args.command == "smoothed-functional":
-            return _cmd_smoothed(args)
-        if args.command == "tv-bound":
-            return _cmd_tv_bound(args)
-        if args.command == "emit-plot":
-            return _cmd_emit_plot(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
@@ -418,7 +411,6 @@ def main(argv=None) -> int:
     except GammaLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONSISTENCY
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -267,7 +267,7 @@ def load_config_file(path) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and data.get("schema") == MANIFEST_SCHEMA:
         embedded = data.get("config")

@@ -90,7 +90,6 @@ class AnalyticLaw:
         interval: tuple[float, float],
         grid_hint: int = 4097,
         params: dict | None = None,
-        check: bool = True,
     ):
         self.kind = kind
         self.pdf = pdf
@@ -98,18 +97,15 @@ class AnalyticLaw:
         self.interval = (float(interval[0]), float(interval[1]))
         self.grid_hint = int(grid_hint)
         self.params = dict(params or {})
-        if check:
-            mass, err = _quad(
-                lambda t: float(self.pdf(np.asarray(t))),
-                *self.interval,
-                limit=max(200, self.grid_hint // 8),
-            )
-            # Within quad's own tolerance (its default epsabs plus epsrel
-            # times the mass) plus the error estimate it returns.
-            if abs(mass - 1.0) > QUAD_TOL * (1.0 + abs(mass)) + err:
-                raise PreconditionError(
-                    f"density of {kind} integrates to {mass}, not 1"
-                )
+        mass, err = _quad(
+            lambda t: float(self.pdf(np.asarray(t))),
+            *self.interval,
+            limit=max(200, self.grid_hint // 8),
+        )
+        # Within quad's own tolerance (its default epsabs plus epsrel times
+        # the mass) plus the error estimate it returns.
+        if abs(mass - 1.0) > QUAD_TOL * (1.0 + abs(mass)) + err:
+            raise PreconditionError(f"density of {kind} integrates to {mass}, not 1")
 
     def __repr__(self):
         return f"AnalyticLaw({self.kind}, {self.params})"
@@ -172,24 +168,6 @@ class AnalyticLaw:
             interval=(mu - 12 * sigma, mu + 12 * sigma),
             params={"mu": mu, "sigma": sigma},
         )
-
-    @classmethod
-    def from_density(
-        cls,
-        pdf: Callable,
-        interval: tuple[float, float],
-        cdf: Callable | None = None,
-        grid_hint: int = 4097,
-    ) -> "AnalyticLaw":
-        if cdf is None:
-            lo = interval[0]
-
-            def cdf(x, _lo=lo, _pdf=pdf):
-                xs = np.atleast_1d(np.asarray(x, dtype=float))
-                out = np.array([_quad(_pdf, _lo, t, limit=200)[0] for t in xs])
-                return out if np.ndim(x) else float(out[0])
-
-        return cls("custom", pdf, cdf, interval, grid_hint=grid_hint)
 
 
 Input = Union[SampleSet, AnalyticLaw]

@@ -191,9 +191,6 @@ class Polynomial:
         """Indices of variables that actually occur."""
         return {v for m in self._terms for v, _ in m}
 
-    def constant_term(self) -> Coef:
-        return self._terms.get(_CONST, Fraction(0) if self.exact else 0.0)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_dim(self, other: "Polynomial") -> None:
@@ -414,16 +411,6 @@ class Polynomial:
         # A tiny exact coefficient can underflow to 0.0.
         return self._wrap({m: c for m, c in self._coefs(False).items() if c}, False)
 
-    def to_exact(self) -> "Polynomial":
-        """Lift float coefficients to exact rationals (binary-exact)."""
-        if self.exact:
-            return self
-        p = Polynomial.__new__(Polynomial)
-        p.dim = self.dim
-        p.exact = True
-        p._terms = {m: Fraction(c) for m, c in self._terms.items()}
-        return p
-
     # -- equality / display --------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -489,7 +476,7 @@ class Polynomial:
     def from_json(cls, text: str, exact: bool | None = None) -> "Polynomial":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise PreconditionError(f"invalid polynomial JSON: {exc}") from exc
         return cls.from_json_dict(data, exact)
 

@@ -22,6 +22,17 @@ runs the desk-scale chain experiment: a sequence Q_n sampled on one common
 pool per replicate, with empirical d_FM / d_TV to the last element standing
 in for the (inaccessible) limit law.
 
+A chain replicate runs in three stages, with one ``_Chain`` record between
+them:
+
+- prepare (``_prepare_chain``) owns every input check and the symbolic
+  parts: Gamma(Q), LQ and the exact E[Gamma(Gamma(Q))] of each element.
+  It draws nothing.
+- the pool pass (``_pool_pass``) owns the one draw: Q and Gamma(Q) values
+  and the |LQ| sums, chunk by chunk, added in chunk order.
+- rows (``_chain_rows``) owns the estimates: the kappa envelope, FM, TV and
+  its noise floor, the optimized bound and the consistency gate.
+
 Chains whose final element is constant are rejected up front: a polynomial
 in independent absolutely-continuous inputs has an absolutely continuous
 law if and only if its variance is nonzero, so a zero-variance limit makes
@@ -31,7 +42,7 @@ the experiment meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -84,13 +95,11 @@ def moment_budget(
     """Assemble the budget for one polynomial.
 
     Polynomial moments come exactly from the moment engine; E|LQ| is not a
-    polynomial moment and is estimated by Monte Carlo on n samples.
+    polynomial moment and is estimated by Monte Carlo on n samples.  A
+    non-finite E[Gamma(Gamma(Q))] raises PreconditionError.
     """
-    op = DiffusionOperator(mu.family, mu.dim)
-    gamma_q = carre_du_champ(op, q)
-    e_gg = float(expectation(carre_du_champ(op, gamma_q), mu))
+    _, lq, e_gg = _gamma_parts(DiffusionOperator(mu.family, mu.dim), q, mu, "Q")
     var_q = float(variance(q, mu))
-    lq = apply_generator(op, q)
     vals = np.abs(functional_values(lq, mu, n, seed, "abs-moment"))
     return MomentBudget(
         e_gamma_gamma=e_gg,
@@ -197,11 +206,7 @@ def optimize_bound(
         "at_grid_edge": i in (0, n_alpha - 1) or j in (0, n_eps - 1),
         "grid_min": float(totals[i, j]),
     }
-    return BoundReport(
-        report.d_fm, report.kappa, report.degree, report.budget_sup,
-        report.alpha, report.eps, report.fm_term, report.smoothing_term,
-        report.regularity_term, report.total, trace,
-    )
+    return replace(report, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +312,35 @@ def run_chain_replicate(
     rows do not depend on it.  Fewer than ``MIN_CHAIN_SAMPLES`` samples
     raise PreconditionError.
     """
+    chain = _prepare_chain(builder, family, n_grid, n_samples)
+    eps_grid = np.asarray(DEFAULT_EPS_GRID if eps_grid is None else eps_grid, dtype=float)
+    pool = _pool_pass(chain, family, n_samples, seed, kappa_samples, threads)
+    return _chain_rows(chain, *pool, seed, eps_grid, se_margin, slack_sigmas)
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A checked chain and the symbolic parts of its elements; nothing drawn."""
+
+    n_grid: list
+    elements: list
+    dims: list
+    degree: int  # the largest element degree, the bound's d
+    gammas: tuple  # Gamma(Q) per element
+    lqs: tuple  # LQ per element
+    e_gamma_gammas: tuple  # E[Gamma(Gamma(Q))] per element, exact moment engine
+
+
+def _gamma_parts(op: DiffusionOperator, q: Polynomial, mu: ProductMeasure, what: str):
+    """Gamma(Q), LQ and the finite E[Gamma(Gamma(Q))] of one polynomial."""
+    gamma_q = carre_du_champ(op, q)
+    e_gg = finite_float(expectation(carre_du_champ(op, gamma_q), mu),
+                        f"E[Gamma(Gamma(Q))] of {what}")
+    return gamma_q, apply_generator(op, q), e_gg
+
+
+def _prepare_chain(builder, family: MeasureFamily, n_grid, n_samples: int) -> _Chain:
+    """Check the grid, the sample count and every element; draws nothing."""
     n_grid = list(n_grid)
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise PreconditionError("n_grid must be nonempty and strictly ascending")
@@ -315,10 +349,6 @@ def run_chain_replicate(
             f"a chain replicate needs at least {MIN_CHAIN_SAMPLES} samples, got "
             f"{n_samples}: fewer leave the TV histogram under 10 bins"
         )
-    if eps_grid is None:
-        eps_grid = DEFAULT_EPS_GRID
-    eps_grid = np.asarray(eps_grid, dtype=float)
-
     elements = [builder(n) for n in n_grid]
     dims = [q.dim for q in elements]
     degrees = []
@@ -329,7 +359,6 @@ def run_chain_replicate(
         if deg is None:
             raise PreconditionError(f"chain element n={n} is the zero polynomial")
         degrees.append(deg)
-    d = max(degrees)
 
     mus = [ProductMeasure(family, m) for m in dims]
     last = elements[-1]
@@ -341,22 +370,24 @@ def run_chain_replicate(
         )
 
     op_cache = {m: DiffusionOperator(family, m) for m in set(dims)}
-    gammas = [carre_du_champ(op_cache[m], q) for q, m in zip(elements, dims)]
-    lqs = [apply_generator(op_cache[m], q) for q, m in zip(elements, dims)]
-    e_gamma_gammas = [
-        finite_float(
-            expectation(carre_du_champ(op_cache[m], g), ProductMeasure(family, m)),
-            f"E[Gamma(Gamma(Q))] of chain element n={n}",
-        )
-        for g, m, n in zip(gammas, dims, n_grid)
-    ]
+    gammas, lqs, e_gamma_gammas = zip(*(
+        _gamma_parts(op_cache[m], q, mu, f"chain element n={n}")
+        for n, q, m, mu in zip(n_grid, elements, dims, mus)
+    ))
+    return _Chain(n_grid, elements, dims, max(degrees), gammas, lqs, e_gamma_gammas)
 
-    # One pass over a shared pool: functional values for every element,
-    # |LQ| sums, and carré-du-champ values for the kappa fit.  Chunks run on
-    # up to ``threads`` workers.  Each sums |LQ| once over its whole chunk,
-    # so the sums do not depend on the block size, and the chunk sums are
-    # added in chunk order.
-    m_max = max(dims)
+
+def _pool_pass(chain: _Chain, family: MeasureFamily, n_samples: int, seed: int,
+               kappa_samples: int, threads: int):
+    """One pass over a shared pool: (Q values, Gamma(Q) values, E|LQ|, its se).
+
+    Every element's Q values on all rows, its Gamma(Q) values on the first
+    ``kappa_samples`` rows for the kappa fit, and |LQ| sums.  Chunks run on
+    up to ``threads`` workers.  Each sums |LQ| once over its whole chunk, so
+    the sums do not depend on the block size, and the chunk sums are added
+    in chunk order.
+    """
+    elements, dims, gammas, lqs = chain.elements, chain.dims, chain.gammas, chain.lqs
     k_rows = min(kappa_samples, n_samples)
     f_vals = [np.empty(n_samples) for _ in elements]
     gam_vals = [np.empty(k_rows) for _ in elements]
@@ -376,7 +407,7 @@ def run_chain_replicate(
             np.abs(a, out=a)
         return [(float(a.sum()), float((a * a).sum())) for a in abs_lq]
 
-    pool = draw_pool(family, m_max, n_samples, substream(seed, "chain-pool"))
+    pool = draw_pool(family, max(dims), n_samples, substream(seed, "chain-pool"))
     lq_sum = [0.0] * len(elements)
     lq_sumsq = [0.0] * len(elements)
     for sums in ordered_map(pass_chunk, pool, threads):
@@ -389,15 +420,21 @@ def run_chain_replicate(
         math.sqrt(max(sq / n_samples - m * m, 0.0) / n_samples)
         for sq, m in zip(lq_sumsq, e_abs_lqs)
     ]
-    budgets = [gg + lq for gg, lq in zip(e_gamma_gammas, e_abs_lqs)]
+    return f_vals, gam_vals, e_abs_lqs, lq_ses
+
+
+def _chain_rows(chain: _Chain, f_vals, gam_vals, e_abs_lqs, lq_ses, seed: int,
+                eps_grid, se_margin: float, slack_sigmas: float) -> list[ChainRow]:
+    """The kappa envelope, FM/TV/floor per element, the bound and its gate."""
+    budgets = [gg + lq for gg, lq in zip(chain.e_gamma_gammas, e_abs_lqs)]
     sup_idx = int(np.argmax(budgets))
     budget_sup = budgets[sup_idx]
-
+    d = chain.degree
     kappa = kappa_envelope(gam_vals, eps_grid, d, se_margin)
 
     ref = SampleSet(f_vals[-1], seed=seed, provenance="chain-reference")
     rows = []
-    for idx, n in enumerate(n_grid):
+    for idx, n in enumerate(chain.n_grid):
         cur = SampleSet(f_vals[idx], seed=seed, provenance=f"chain-n={n}")
         fm = fortet_mourier(cur, ref)
         tv = total_variation(cur, ref)
@@ -415,7 +452,7 @@ def run_chain_replicate(
             )
         rows.append(
             ChainRow(
-                n=n, dim=dims[idx],
+                n=n, dim=chain.dims[idx],
                 d_fm=fm.estimate,
                 d_tv_hat=tv.estimate, d_tv_se=tv.uncertainty,
                 kappa=kappa, budget=budgets[idx],

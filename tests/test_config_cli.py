@@ -391,6 +391,9 @@ def test_cli_distance_bad_spec(tmp_path):
       "--right", "analytic:uniform"], EXIT_CONFIG),
     (["distance", "--metric", "kol", "--left", "poly:@{q}:family=gaussian:n=100",
       "--right", "analytic:uniform", "--seed", "-1"], EXIT_CONFIG),
+    # An integer beyond Python's int-string digit limit is invalid JSON here.
+    (["generator", "--poly", "{bigcoef}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["run", "--config", "{bigseed}"], EXIT_CONFIG),
 ])
 def test_cli_malformed_input_exit_codes(tmp_path, argv, code):
     files = {
@@ -398,6 +401,8 @@ def test_cli_malformed_input_exit_codes(tmp_path, argv, code):
         "nocoef": '{"dim": 1, "terms": [{"exps": [[1, 1]]}]}',
         "badcoef": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": "1/x"}]}',
         "nodim": '{"terms": [{"exps": [[1, 1]], "coef": 1}]}',
+        "bigcoef": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": %s}]}' % ("9" * 5000),
+        "bigseed": '{"seed": %s}' % ("9" * 5000),
     }
     paths = {"missing": str(tmp_path / "missing.samples")}
     for name, text in files.items():

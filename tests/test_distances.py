@@ -236,8 +236,8 @@ def test_non_finite_sample_set_rejected(values):
 
 def test_custom_law_must_normalize():
     with pytest.raises(PreconditionError):
-        AnalyticLaw.from_density(lambda x: np.full_like(np.asarray(x, float), 2.0),
-                                 (0.0, 1.0))
+        AnalyticLaw("custom", lambda x: np.full_like(np.asarray(x, float), 2.0),
+                    None, (0.0, 1.0))
 
 
 def test_custom_law_slightly_off_mass_is_refused():
@@ -247,4 +247,4 @@ def test_custom_law_slightly_off_mass_is_refused():
         return np.where((x >= 0.0) & (x <= 1.0), 1.001, 0.0)
 
     with pytest.raises(PreconditionError, match="integrates to 1.001"):
-        AnalyticLaw.from_density(pdf, (0.0, 1.0))
+        AnalyticLaw("custom", pdf, None, (0.0, 1.0))

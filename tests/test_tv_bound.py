@@ -24,6 +24,7 @@ from gamma_lab.poly import Polynomial, variables
 from gamma_lab.sampling import (
     BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, chunk_edges, generator, substream,
 )
+from gamma_lab import tv_bound
 from gamma_lab.tv_bound import (
     MIN_CHAIN_SAMPLES,
     evaluate_bound,
@@ -69,6 +70,13 @@ def test_budget_linear_any_family():
     for fam in (gamma(2), beta(2, 2)):
         bb = moment_budget(x, ProductMeasure(fam, 1), n=200_000, seed=3)
         assert np.isfinite(bb.total)
+
+
+def test_budget_refuses_non_finite_gamma_gamma():
+    # E[Gamma(Gamma(c x1 x2))] = 8 c^4 overflows at c = 1e100; E|LQ| does not.
+    q = Polynomial(2, {((1, 1), (2, 1)): 1e100}, exact=False)
+    with pytest.raises(PreconditionError, match=r"E\[Gamma\(Gamma\(Q\)\)\] of Q = inf"):
+        moment_budget(q, MU2, n=1_000, seed=1)
 
 
 def test_budget_flags_constant():
@@ -284,32 +292,50 @@ def test_budget_bounded_along_gaussian_clt_sequence():
 # -- chain experiment ------------------------------------------------------------------
 
 
-def test_chain_rejects_degenerate_limit():
+@pytest.fixture
+def no_draw(monkeypatch):
+    """A chain replicate that reaches the pool pass fails loudly."""
+    def draw_pool(*args, **kwargs):
+        raise AssertionError("the prepare stage let a bad chain reach the pool pass")
+
+    monkeypatch.setattr(tv_bound, "draw_pool", draw_pool)
+
+
+def test_chain_rejects_degenerate_limit(no_draw):
     fam = gaussian()
 
     def builder(n):
         return Polynomial.constant(2, dim=n, exact=False)
 
-    with pytest.raises(DegenerateFunctionalError):
+    with pytest.raises(DegenerateFunctionalError, match="zero variance"):
         run_chain_replicate(builder, fam, [1, 2], 1_000, seed=1)
 
 
-def test_chain_rejects_non_multilinear():
+def test_chain_rejects_non_multilinear(no_draw):
     fam = gaussian()
 
     def builder(n):
         x = Polynomial.variable(1, n, exact=False)
         return x * x
 
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="n=1 is not multilinear"):
         run_chain_replicate(builder, fam, [1, 2], 1_000, seed=1)
 
 
-def test_chain_rejects_bad_grid():
-    with pytest.raises(PreconditionError):
+def test_chain_rejects_bad_grid(no_draw):
+    # Too few samples as well: the grid is checked first.
+    with pytest.raises(PreconditionError, match="strictly ascending"):
         run_chain_replicate(
             lambda n: linear_sum_sequence(gaussian(), n), gaussian(), [4, 4], 100, 1
         )
+
+
+def test_budget_and_chain_prepare_share_gamma_gamma():
+    fam = gamma(2)
+    q = pair_product_sequence(fam, 4)
+    chain = tv_bound._prepare_chain(lambda n: q, fam, [4], MIN_CHAIN_SAMPLES)
+    budget = moment_budget(q, ProductMeasure(fam, q.dim), n=1_000, seed=1)
+    assert budget.e_gamma_gamma == chain.e_gamma_gammas[0]
 
 
 def test_chain_constant_sequence_distances_vanish():
