@@ -74,6 +74,21 @@ def _ball_probs(
     return probs, stderrs
 
 
+def _check_eps_grid(eps_grid) -> np.ndarray:
+    """The kappa fit's eps grid as floats: ``DEFAULT_EPS_GRID`` for None,
+    else nonempty, positive and finite.
+
+    A zero, negative, NaN or infinite eps makes that eps's fit NaN, which
+    the envelope's max would drop, leaving kappa 0 without a word.
+    """
+    eps_grid = np.asarray(DEFAULT_EPS_GRID if eps_grid is None else eps_grid, dtype=float)
+    if eps_grid.size == 0:
+        raise PreconditionError("empty eps grid")
+    if not np.all((eps_grid > 0) & np.isfinite(eps_grid)):
+        raise PreconditionError("eps grid must be positive and finite")
+    return eps_grid
+
+
 def _check_alphas(alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0 or np.any(alphas <= 0) or np.any(np.diff(alphas) <= 0):
@@ -144,8 +159,9 @@ def _smoothed_indicator(gam: np.ndarray, eps_grid) -> tuple[np.ndarray, np.ndarr
     """E[eps / (G + eps)] and its standard error per eps, all on one column G."""
     n = gam.size
     est, se = np.empty((2, len(eps_grid)))
+    r = np.empty(n)  # one buffer for every eps
     for i, e in enumerate(eps_grid):
-        r = e / (gam + e)
+        np.divide(e, np.add(gam, e, out=r), out=r)
         est[i] = r.mean()
         se[i] = r.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
     return est, se
@@ -211,13 +227,7 @@ def kappa_fit(
     qs = list(qs)
     if not qs:
         raise PreconditionError("empty polynomial sequence")
-    if eps_grid is None:
-        eps_grid = DEFAULT_EPS_GRID
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.size == 0:
-        raise PreconditionError("empty eps grid")
-    if np.any(eps_grid <= 0):
-        raise PreconditionError("eps grid must be positive")
+    eps_grid = _check_eps_grid(eps_grid)
     if d < 1:
         raise PreconditionError("degree bound d must be >= 1")
     mus = list(mu) if isinstance(mu, (list, tuple)) else [mu] * len(qs)

@@ -45,6 +45,7 @@ import numpy as np
 from .errors import PreconditionError
 from .measures import ProductMeasure, functional_values
 from .poly import Polynomial
+from .sampling import CHUNK_ROWS
 
 GRID_POINTS = 2048
 RANGE_EXPANSION = 0.05
@@ -54,17 +55,26 @@ ROOT_XTOL = 1e-13  # brentq's xtol for density crossings (its rtol is 4 eps)
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Reproducibly seeded draws of a scalar functional."""
+    """Reproducibly seeded draws of a scalar functional.
+
+    ``values`` is always a read-only 1-D float64 array.  An array that
+    already is one, and owns its memory, is adopted as it is: nothing can
+    write it through a view, so the set reads it in place.  Anything else
+    is copied and the copy frozen; a caller's array is never frozen.
+    """
 
     values: np.ndarray
     seed: int | None = None
     provenance: str = ""
 
     def __post_init__(self):
-        # Own copy, frozen: value semantics without surprising the caller.
-        vals = np.array(self.values, dtype=np.float64).ravel()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                and vals.ndim == 1 and vals.flags.owndata
+                and not vals.flags.writeable):
+            vals = np.array(vals, dtype=np.float64).ravel()
+            vals.flags.writeable = False
+            object.__setattr__(self, "values", vals)
         if vals.size == 0:
             raise PreconditionError("empty sample set")
         finite = np.isfinite(vals)
@@ -410,10 +420,15 @@ def _input_range(v: Input) -> tuple[float, float]:
 
 def _grid_masses(v: Input, grid: np.ndarray, step: float) -> np.ndarray:
     if isinstance(v, SampleSet):
-        idx = np.clip(
-            np.rint((v.values - grid[0]) / step).astype(np.int64), 0, grid.size - 1
-        )
-        return np.bincount(idx, minlength=grid.size) / v.n
+        # Binned CHUNK_ROWS values at a time, so the temporaries stay small.
+        counts = np.zeros(grid.size, dtype=np.int64)
+        for lo in range(0, v.n, CHUNK_ROWS):
+            part = v.values[lo:lo + CHUNK_ROWS]
+            idx = np.clip(
+                np.rint((part - grid[0]) / step).astype(np.int64), 0, grid.size - 1
+            )
+            counts += np.bincount(idx, minlength=grid.size)
+        return counts / v.n
     edges = grid[:-1] + step / 2
     cdf_vals = np.asarray(v.cdf(edges), dtype=float)
     masses = np.empty(grid.size)
@@ -485,7 +500,9 @@ def functional_samples(
 ) -> SampleSet:
     """n draws of q(X_1, ..., X_m) under mu (q.dim must equal mu.dim)."""
     digest = hashlib.sha1(q.to_json().encode()).hexdigest()[:12]
+    values = functional_values(q, mu, n, seed, *labels)
+    values.flags.writeable = False  # adopted by the SampleSet, not copied
     return SampleSet(
-        functional_values(q, mu, n, seed, *labels), seed=seed,
+        values, seed=seed,
         provenance=f"{mu.family.label()};m={mu.dim};poly={digest}",
     )

@@ -112,6 +112,8 @@ class MeasureFamily:
     # so equality and hashing see it: gamma(1) and gamma(1.0) are one law in
     # two arithmetic modes, and the cached moment tables must keep them apart.
     exact: bool = field(init=False, repr=False)
+    # What _construction_terms resolves, once per family rather than per draw.
+    _terms: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -135,6 +137,7 @@ class MeasureFamily:
                 )
         exact = not any(isinstance(p, float) for p in (self.r, self.a, self.b))
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_terms", self._construction_terms())
 
     def support(self) -> tuple[float, float]:
         if self.kind == "gaussian":
@@ -164,7 +167,7 @@ class MeasureFamily:
         return self._draw_c(rng, shape)
 
     def _draw_c(self, rng: np.random.Generator, shape) -> np.ndarray:
-        terms = self._construction_terms()
+        terms = self._terms
         if self.kind == "gaussian":
             return rng.standard_normal(shape)
         if self.kind == "gamma":
@@ -453,7 +456,7 @@ def _draw_blocks(family: MeasureFamily, width: int, lo: int, hi: int, rng):
     # column-major draw.  An exact construction fills the buffer SLAB_ROWS
     # rows at a time instead, so that its per-value variates stay
     # cache-sized: a whole-block draw of beta(2, 2) measured ~25% slower.
-    slabs = family._construction_terms() is not None
+    slabs = family._terms is not None
     for start in range(lo, hi, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, hi)
         rows = stop - start
@@ -465,19 +468,21 @@ def _draw_blocks(family: MeasureFamily, width: int, lo: int, hi: int, rng):
             e = min(s + SLAB_ROWS, rows)
             buf[:, s:e] = family.draw(rng, (e - s, width), order="F").T
         yield start, stop, buf.T
+        # Hold no block across the next draw: a consumer that drops each
+        # block before asking for the next keeps one alive, not two.
+        del buf
 
 
 def _pool_blocks(mu: ProductMeasure, n: int, seed: int, labels) -> Iterator:
-    """The blocks of the ``("vector-samples", *labels)`` pool, in row order."""
+    """The (lo, hi, X[lo:hi]) blocks of the ``("vector-samples", *labels)``
+    pool, in row order; a bad ``n`` raises here, before the first block."""
     pool = draw_pool(mu.family, mu.dim, n, substream(seed, "vector-samples", *labels))
-    for _, _, blocks in pool:
-        for _, _, x in blocks:
-            yield x
+    return (block for _, _, blocks in pool for block in blocks)
 
 
 def sample(mu: ProductMeasure, n: int, seed: int, *labels) -> np.ndarray:
     """n i.i.d. draws of the m-dimensional vector, shape (n, m) float64."""
-    return np.concatenate(list(_pool_blocks(mu, n, seed, labels)))
+    return np.concatenate([x for _, _, x in _pool_blocks(mu, n, seed, labels)])
 
 
 def functional_values(
@@ -487,10 +492,11 @@ def functional_values(
 
     A value that overflows to inf or NaN is a ``PreconditionError``.
     """
+    blocks = _pool_blocks(mu, n, seed, labels)
+    values = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.concatenate(
-            [q.evaluate_batch(x) for x in _pool_blocks(mu, n, seed, labels)]
-        )
+        for lo, hi, x in blocks:
+            values[lo:hi] = q.evaluate_batch(x)
     if not np.isfinite(values).all():
         raise PreconditionError(f"non-finite polynomial value under {mu.family.label()}")
     return values

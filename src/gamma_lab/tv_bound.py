@@ -33,6 +33,19 @@ them:
 - rows (``_chain_rows``) owns the estimates: the kappa envelope, FM, TV and
   its noise floor, the optimized bound and the consistency gate.
 
+A replicate keeps one copy of each value column.  The pool pass marks
+every Q column read-only when it is filled, so each ``SampleSet`` of the
+rows stage reads it in place, and FM bins it a slice at a time.  The
+per-replicate footprint is therefore
+
+    elements x samples x 8 bytes          (Q values)
+    + elements x kappa rows x 8 bytes     (Gamma(Q) values for the kappa fit)
+    + width x BLOCK_ROWS x 8 bytes per pool thread  (the block being evaluated)
+
+with kappa rows = min(kappa_samples, samples) and width the largest element
+dimension; every other buffer is a fixed number of chunks or blocks.  A
+pool thread lets go of its block before it draws the next one.
+
 Chains whose final element is constant are rejected up front: a polynomial
 in independent absolutely-continuous inputs has an absolutely continuous
 law if and only if its variance is nonzero, so a zero-variance limit makes
@@ -47,7 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .anticoncentration import DEFAULT_EPS_GRID, kappa_envelope
+from .anticoncentration import _check_eps_grid, kappa_envelope
 from .distances import SampleSet, fortet_mourier, histogram_tv_floor, total_variation
 from .errors import ConsistencyError, DegenerateFunctionalError, PreconditionError
 from .measures import (
@@ -312,8 +325,8 @@ def run_chain_replicate(
     rows do not depend on it.  Fewer than ``MIN_CHAIN_SAMPLES`` samples
     raise PreconditionError.
     """
+    eps_grid = _check_eps_grid(eps_grid)
     chain = _prepare_chain(builder, family, n_grid, n_samples)
-    eps_grid = np.asarray(DEFAULT_EPS_GRID if eps_grid is None else eps_grid, dtype=float)
     pool = _pool_pass(chain, family, n_samples, seed, kappa_samples, threads)
     return _chain_rows(chain, *pool, seed, eps_grid, se_margin, slack_sigmas)
 
@@ -403,6 +416,7 @@ def _pool_pass(chain: _Chain, family: MeasureFamily, n_samples: int, seed: int,
                 abs_lq[idx][lo - c_lo:hi - c_lo] = lqs[idx].evaluate_batch(sub)
                 if take > 0:
                     gam_vals[idx][lo:lo + take] = gammas[idx].evaluate_batch(sub[:take])
+            block = sub = None  # let the block go before the next one is drawn
         for a in abs_lq:
             np.abs(a, out=a)
         return [(float(a.sum()), float((a * a).sum())) for a in abs_lq]
@@ -415,6 +429,8 @@ def _pool_pass(chain: _Chain, family: MeasureFamily, n_samples: int, seed: int,
             lq_sum[idx] += s
             lq_sumsq[idx] += sq
 
+    for vals in f_vals:
+        vals.flags.writeable = False  # so each SampleSet reads it in place
     e_abs_lqs = [s / n_samples for s in lq_sum]
     lq_ses = [
         math.sqrt(max(sq / n_samples - m * m, 0.0) / n_samples)

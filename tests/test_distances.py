@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.stats import kstwobign
 
+from gamma_lab import distances
 from gamma_lab.distances import (
     AnalyticLaw,
     SampleSet,
@@ -20,6 +21,7 @@ from gamma_lab.distances import (
 from gamma_lab.errors import PreconditionError
 from gamma_lab.measures import ProductMeasure, gaussian
 from gamma_lab.poly import Polynomial, variables
+from gamma_lab.sampling import CHUNK_ROWS
 
 KS_CRIT_1PCT = float(kstwobign.ppf(0.99))
 
@@ -232,6 +234,55 @@ def test_empty_sample_set_rejected():
 def test_non_finite_sample_set_rejected(values):
     with pytest.raises(PreconditionError, match="non-finite sample value"):
         SampleSet(values)
+
+
+def test_sample_set_adopts_read_only_owned_array():
+    values = np.random.default_rng(3).standard_normal(1001)
+    values.flags.writeable = False
+    s = SampleSet(values)
+    assert s.values is values
+    assert np.shares_memory(s.values, values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.linspace(-1.0, 1.0, 1001),
+    lambda: np.linspace(-1.0, 1.0, 1001).reshape(7, 143),
+    lambda: np.linspace(-1.0, 1.0, 1001)[::2],
+    lambda: np.arange(1001),
+], ids=["writeable", "2-d", "strided-view", "int"])
+def test_sample_set_copies_what_it_cannot_adopt(make):
+    values = make()
+    s = SampleSet(values)
+    assert not np.shares_memory(s.values, values)
+    assert values.flags.writeable  # the caller's array is never frozen
+    assert not s.values.flags.writeable
+    assert s.values.dtype == np.float64 and s.values.ndim == 1
+    assert np.array_equal(s.values, values.ravel())
+
+
+def test_sample_set_copies_read_only_view():
+    # A read-only view of a writeable array could change under the set.
+    base = np.linspace(-1.0, 1.0, 1001)
+    view = base[:]
+    view.flags.writeable = False
+    assert not np.shares_memory(SampleSet(view).values, base)
+
+
+def test_sliced_grid_masses_equal_one_shot():
+    # Values exactly on grid points and halfway between them (rint ties),
+    # over a length that is not a multiple of the slice.
+    grid = np.linspace(-3.0, 5.0, 2048)
+    step = float(grid[1] - grid[0])
+    rng = np.random.default_rng(7)
+    n = 2 * CHUNK_ROWS + 12345
+    k = rng.integers(0, grid.size - 1, n)
+    values = np.where(rng.random(n) < 0.5, grid[k], (grid[k] + grid[k + 1]) / 2)
+    one_shot = np.bincount(
+        np.clip(np.rint((values - grid[0]) / step).astype(np.int64), 0, grid.size - 1),
+        minlength=grid.size,
+    ) / n
+    masses = distances._grid_masses(SampleSet(values), grid, step)
+    assert np.array_equal(masses, one_shot)
 
 
 def test_custom_law_must_normalize():

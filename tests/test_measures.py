@@ -15,11 +15,13 @@ from gamma_lab.errors import PreconditionError
 from gamma_lab.measures import (
     BETA_ORDER_MAX,
     GAMMA_SUM_MAX,
+    MeasureFamily,
     ProductMeasure,
     basis,
     beta,
     draw_pool,
     expectation,
+    functional_values,
     gamma,
     gaussian,
     monomial_in_basis,
@@ -380,6 +382,33 @@ def test_block_draws_equal_one_draw_per_chunk(family, slab):
                     for s in range(a, b, slab)
                 ], axis=1)
                 assert np.array_equal(x, buf.T)
+
+
+def test_functional_values_are_the_polynomial_on_the_sample_pool():
+    fam = beta(2, 2)
+    mu = ProductMeasure(fam, 3)
+    x1, x2, x3 = variables(3, exact=False)
+    q = x1 * x2 + x3 * x3 * x3 - 0.5
+    n = CHUNK_ROWS + BLOCK_ROWS + 77
+    values = functional_values(q, mu, n, 5, "label")
+    assert values.shape == (n,)
+    assert np.array_equal(values, q.evaluate_batch(sample(mu, n, 5, "label")))
+
+
+def test_construction_terms_resolve_once_per_family(monkeypatch):
+    fam = beta(2, 2)  # an exact construction, drawn slab by slab
+    expected = np.concatenate([x for _, _, x in _pool(fam)])
+
+    def resolve(self):
+        raise AssertionError("construction terms resolved again after __init__")
+
+    monkeypatch.setattr(MeasureFamily, "_construction_terms", resolve)
+    assert np.array_equal(np.concatenate([x for _, _, x in _pool(fam)]), expected)
+
+
+def _pool(fam):
+    return [b for _, _, blocks in draw_pool(fam, 3, BLOCK_ROWS + 5, substream(2, "t"))
+            for b in blocks]
 
 
 def test_pool_generator_is_sfc64():

@@ -2,10 +2,12 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gamma_lab.anticoncentration import DEFAULT_EPS_GRID, kappa_fit
 from gamma_lab.distances import SampleSet, fortet_mourier, total_variation
 from gamma_lab.errors import (
     ConsistencyError,
@@ -330,6 +332,25 @@ def test_chain_rejects_bad_grid(no_draw):
         )
 
 
+@pytest.mark.parametrize("eps_grid, message", [
+    ([0.0], "eps grid must be positive and finite"),
+    ([-0.1], "eps grid must be positive and finite"),
+    ([], "empty eps grid"),
+    ([1e-3, math.nan], "eps grid must be positive and finite"),
+    ([math.inf], "eps grid must be positive and finite"),
+], ids=["zero", "negative", "empty", "nan", "inf"])
+def test_chain_refuses_bad_eps_grid(no_draw, eps_grid, message):
+    fam = gaussian()
+    with pytest.raises(PreconditionError, match=message):
+        run_chain_replicate(
+            lambda n: linear_sum_sequence(fam, n), fam, [2, 4], 2_000, seed=1,
+            eps_grid=eps_grid,
+        )
+    with pytest.raises(PreconditionError, match=message):
+        kappa_fit([linear_sum_sequence(fam, 2)], ProductMeasure(fam, 2), d=1,
+                  eps_grid=eps_grid, n=100)
+
+
 def test_budget_and_chain_prepare_share_gamma_gamma():
     fam = gamma(2)
     q = pair_product_sequence(fam, 4)
@@ -418,3 +439,29 @@ def test_chain_rows_do_not_depend_on_pool_threads():
     ref = SampleSet(last.evaluate_batch(pool))
     assert runs[0][0].d_tv_hat == total_variation(cur, ref).estimate
     assert runs[0][0].d_fm == fortet_mourier(cur, ref).estimate
+
+
+def test_chain_rows_read_the_value_columns_in_place():
+    # The rows stage (kappa, FM, TV, floor, bound) reads the pool pass's
+    # value columns without copying them: while it runs, its own traced
+    # allocations stay under a fifth of those columns' bytes.  Copies of the
+    # current and the reference column, or full-length FM temporaries,
+    # would each exceed that.
+    fam = gaussian()
+    n_samples = 200_001
+    chain = tv_bound._prepare_chain(
+        lambda n: linear_sum_sequence(fam, n), fam, [2, 4, 8, 16, 32], n_samples
+    )
+    f_vals, gam_vals, e_abs_lqs, lq_ses = tv_bound._pool_pass(
+        chain, fam, n_samples, seed=1, kappa_samples=100_000, threads=1
+    )
+    columns = sum(v.nbytes for v in f_vals) + sum(v.nbytes for v in gam_vals)
+    eps_grid = np.asarray(DEFAULT_EPS_GRID)
+    tracemalloc.start()
+    try:
+        tv_bound._chain_rows(chain, f_vals, gam_vals, e_abs_lqs, lq_ses, 1,
+                             eps_grid, 2.0, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert columns + peak <= 1.2 * columns
