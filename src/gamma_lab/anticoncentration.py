@@ -36,6 +36,9 @@ from .operators import DiffusionOperator, carre_du_champ
 from .poly import Polynomial
 
 DEFAULT_EPS_GRID = np.logspace(-6, 0, 25)
+# Standard errors added to each smoothed-indicator estimate before kappa is
+# fitted, so kappa is an upper envelope at that confidence.
+SE_MARGIN = 2.0
 # Smallest stability_factor the config and the CLI accept: the refined run
 # must be larger than the first.
 MIN_STABILITY_FACTOR = 2
@@ -72,21 +75,6 @@ def _ball_probs(
     probs = counts / n
     stderrs = np.sqrt(probs * (1 - probs) / n)
     return probs, stderrs
-
-
-def _check_eps_grid(eps_grid) -> np.ndarray:
-    """The kappa fit's eps grid as floats: ``DEFAULT_EPS_GRID`` for None,
-    else nonempty, positive and finite.
-
-    A zero, negative, NaN or infinite eps makes that eps's fit NaN, which
-    the envelope's max would drop, leaving kappa 0 without a word.
-    """
-    eps_grid = np.asarray(DEFAULT_EPS_GRID if eps_grid is None else eps_grid, dtype=float)
-    if eps_grid.size == 0:
-        raise PreconditionError("empty eps grid")
-    if not np.all((eps_grid > 0) & np.isfinite(eps_grid)):
-        raise PreconditionError("eps grid must be positive and finite")
-    return eps_grid
 
 
 def _check_alphas(alphas) -> np.ndarray:
@@ -167,17 +155,18 @@ def _smoothed_indicator(gam: np.ndarray, eps_grid) -> tuple[np.ndarray, np.ndarr
     return est, se
 
 
-def kappa_envelope(gammas, eps_grid, d: int, se_margin: float) -> float:
-    """Least kappa with est + se_margin * se <= kappa * eps^(1/(2d+1)).
+def kappa_envelope(gammas, d: int) -> float:
+    """Least kappa with est + SE_MARGIN * se <= kappa * eps^(1/(2d+1)).
 
-    Fitted over every column of Gamma(Q) values in ``gammas`` and every eps.
+    Fitted over every column of Gamma(Q) values in ``gammas`` and every eps
+    of ``DEFAULT_EPS_GRID``.
     """
     root = 1.0 / (2 * d + 1)
     kappa = 0.0
     for gam in gammas:
-        est, se = _smoothed_indicator(gam, eps_grid)
-        for e, m, s in zip(eps_grid, est, se):
-            kappa = max(kappa, float(m + se_margin * s) / e**root)
+        est, se = _smoothed_indicator(gam, DEFAULT_EPS_GRID)
+        for e, m, s in zip(DEFAULT_EPS_GRID, est, se):
+            kappa = max(kappa, float(m + SE_MARGIN * s) / e**root)
     return float(kappa)
 
 
@@ -208,28 +197,19 @@ def smoothed_indicator_functional(
     return est, se
 
 
-def kappa_fit(
-    qs,
-    mu,
-    d: int,
-    eps_grid=None,
-    n: int = 100_000,
-    seed: int = 0,
-    se_margin: float = 2.0,
-) -> float:
-    """Least kappa with functional(eps) <= kappa * eps^(1/(2d+1)) on the grid.
+def kappa_fit(qs, mu, d: int, n: int = 100_000, seed: int = 0) -> float:
+    """Least kappa with functional(eps) <= kappa * eps^(1/(2d+1)) on ``DEFAULT_EPS_GRID``.
 
     ``qs`` is a sequence of polynomials of common degree bound d; ``mu`` is a
-    matching ProductMeasure or a sequence of them.  The Monte-Carlo margin
-    ``se_margin`` standard errors is added before fitting, so the returned
+    matching ProductMeasure or a sequence of them.  The Monte-Carlo margin of
+    ``SE_MARGIN`` standard errors is added before fitting, so the returned
     kappa is an upper envelope at that confidence.
     """
     qs = list(qs)
     if not qs:
         raise PreconditionError("empty polynomial sequence")
-    eps_grid = _check_eps_grid(eps_grid)
     if d < 1:
         raise PreconditionError("degree bound d must be >= 1")
     mus = list(mu) if isinstance(mu, (list, tuple)) else [mu] * len(qs)
     gammas = (_gamma_values(q, m, n, seed) for q, m in zip(qs, mus))
-    return kappa_envelope(gammas, eps_grid, d, se_margin)
+    return kappa_envelope(gammas, d)

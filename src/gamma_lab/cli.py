@@ -57,7 +57,9 @@ from .distances import (
     total_variation,
 )
 from .errors import ConfigError, ConsistencyError, GammaLabError, PreconditionError
-from .experiments import CW_HEADER, cw_sweep_rows, run_experiment, write_csv
+from .experiments import (
+    CW_HEADER, _read_poly_file, cw_sweep_rows, run_experiment, write_csv,
+)
 from .measures import ProductMeasure, finite_float, load_samples
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .operators import poincare_check as _poincare_check
@@ -90,15 +92,10 @@ def _option(key: str) -> str:
 
 
 def _read_poly(path: str, exact: bool | None) -> Polynomial:
+    """The polynomial in a JSON file, or on stdin for ``-``."""
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read polynomial {path}: {exc}") from exc
-    return Polynomial.from_json(text, exact=exact)
+        return Polynomial.from_json(sys.stdin.buffer.read(), exact=exact)
+    return _read_poly_file(path, exact)
 
 
 def _emit(record, out: str | None, indent: int | None = None) -> None:
@@ -128,8 +125,7 @@ def _parse_spec(spec: str, seed: int):
             raise ConfigError(f"cannot read sample file {spec[1:]}: {exc}") from exc
         if values.size == 0:
             raise ConfigError(f"sample file {spec[1:]} is empty")
-        return SampleSet(values, seed=int(meta.get("seed", 0)),
-                         provenance=meta.get("provenance", spec[1:]))
+        return SampleSet(values, provenance=meta.get("provenance", spec[1:]))
     kind, *items = spec.split(":")
     name, opts = None, {}
     for item in items:
@@ -285,9 +281,9 @@ def _cmd_tv_bound(args) -> int:
 
 def _cmd_emit_plot(args) -> int:
     try:
-        with open(args.csv) as fh:
+        with open(args.csv, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read CSV {args.csv}: {exc}") from exc
     out = args.out or (os.path.splitext(args.csv)[0] + ".dat")
     if not lines:
@@ -308,6 +304,10 @@ def _cmd_emit_plot(args) -> int:
     body = []
     for ln in lines[1:]:
         cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(
+                f"row {ln!r} has {len(cells)} cells, the header {len(header)}"
+            )
         picked = [cells[i] for i in idx]
         for c in picked:
             try:

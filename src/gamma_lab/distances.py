@@ -55,7 +55,7 @@ ROOT_XTOL = 1e-13  # brentq's xtol for density crossings (its rtol is 4 eps)
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Reproducibly seeded draws of a scalar functional.
+    """Draws of a scalar functional; ``provenance`` names their source.
 
     ``values`` is always a read-only 1-D float64 array.  An array that
     already is one, and owns its memory, is adopted as it is: nothing can
@@ -64,7 +64,6 @@ class SampleSet:
     """
 
     values: np.ndarray
-    seed: int | None = None
     provenance: str = ""
 
     def __post_init__(self):
@@ -261,13 +260,13 @@ def _sign_change_roots(fn, lo: float, hi: float, npts: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def total_variation(x: Input, y: Input, bins: int | None = None) -> DistanceReport:
+def total_variation(x: Input, y: Input) -> DistanceReport:
     if isinstance(x, AnalyticLaw) and isinstance(y, AnalyticLaw):
         return _tv_analytic(x, y)
     if isinstance(x, SampleSet) and isinstance(y, SampleSet):
-        return _tv_histogram(x, y, bins)
+        return _tv_histogram(x, y)
     samples, law = (x, y) if isinstance(x, SampleSet) else (y, x)
-    return _tv_mixed(samples, law, bins)
+    return _tv_mixed(samples, law)
 
 
 def _tv_analytic(x: AnalyticLaw, y: AnalyticLaw) -> DistanceReport:
@@ -322,9 +321,8 @@ def default_bin_count(n: int) -> int:
     return max(1, math.ceil(n ** (1.0 / 3.0)))
 
 
-def _tv_histogram(x: SampleSet, y: SampleSet, bins: int | None) -> DistanceReport:
-    if bins is None:
-        bins = default_bin_count(min(x.n, y.n))
+def _tv_histogram(x: SampleSet, y: SampleSet) -> DistanceReport:
+    bins = default_bin_count(min(x.n, y.n))
     lo = float(min(x.values.min(), y.values.min()))
     hi = float(max(x.values.max(), y.values.max()))
     if hi <= lo:
@@ -361,9 +359,8 @@ def histogram_tv_floor(y: SampleSet, report: DistanceReport) -> float:
     return 0.5 * float(np.abs(counts[0] - counts[1]).sum()) / math.sqrt(2.0)
 
 
-def _tv_mixed(x: SampleSet, law: AnalyticLaw, bins: int | None) -> DistanceReport:
-    if bins is None:
-        bins = default_bin_count(x.n)
+def _tv_mixed(x: SampleSet, law: AnalyticLaw) -> DistanceReport:
+    bins = default_bin_count(x.n)
     lo = min(float(x.values.min()), law.interval[0])
     hi = max(float(x.values.max()), law.interval[1])
     edges = np.linspace(lo, hi, bins + 1)
@@ -383,9 +380,7 @@ def _tv_mixed(x: SampleSet, law: AnalyticLaw, bins: int | None) -> DistanceRepor
 # ---------------------------------------------------------------------------
 
 
-def fortet_mourier(
-    x: Input, y: Input, grid_points: int = GRID_POINTS
-) -> DistanceReport:
+def fortet_mourier(x: Input, y: Input) -> DistanceReport:
     """sup { E h(F) - E h(G) : |h| <= 1, |h'| <= 1 } on a grid of the pooled support.
 
     The discretized dual is solved exactly (see
@@ -401,14 +396,14 @@ def fortet_mourier(
         # separate anything.
         return DistanceReport("fm", 0.0, "grid-dual", params={"degenerate": True})
     pad = RANGE_EXPANSION * (hi - lo) / 2
-    grid = np.linspace(lo - pad, hi + pad, grid_points)
+    grid = np.linspace(lo - pad, hi + pad, GRID_POINTS)
     step = float(grid[1] - grid[0])
     w = _grid_masses(x, grid, step) - _grid_masses(y, grid, step)
     value = bounded_lipschitz_grid_value(w, step)
     w1 = _w1_grid(w, step)
     return DistanceReport(
         "fm", value, "grid-dual", uncertainty=step,
-        params={"grid_points": grid_points, "w1_upper": min(w1, 2.0)},
+        params={"grid_points": GRID_POINTS, "w1_upper": min(w1, 2.0)},
     )
 
 
@@ -502,7 +497,4 @@ def functional_samples(
     digest = hashlib.sha1(q.to_json().encode()).hexdigest()[:12]
     values = functional_values(q, mu, n, seed, *labels)
     values.flags.writeable = False  # adopted by the SampleSet, not copied
-    return SampleSet(
-        values, seed=seed,
-        provenance=f"{mu.family.label()};m={mu.dim};poly={digest}",
-    )
+    return SampleSet(values, provenance=f"{mu.family.label()};m={mu.dim};poly={digest}")

@@ -83,15 +83,23 @@ def _run_cos2(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict, 
     return [path], timings, None
 
 
+def _read_poly_file(path: str, exact: bool | None = None) -> Polynomial:
+    """The polynomial in a JSON file.
+
+    A path that cannot be read is a ConfigError; bytes that are not UTF-8,
+    or not a polynomial record, are a PreconditionError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read polynomial file {path}: {exc}") from exc
+    return Polynomial.from_json(data, exact=exact)
+
+
 def _chain_builder(config: ExperimentConfig):
     if config.scenario == "custom":
-        elements = []
-        for fname in config.poly_files:
-            try:
-                with open(fname) as fh:
-                    elements.append(Polynomial.from_json(fh.read()))
-            except OSError as exc:
-                raise ConfigError(f"cannot read polynomial file {fname}: {exc}") from exc
+        elements = [_read_poly_file(fname) for fname in config.poly_files]
         n_grid = tuple(range(1, len(elements) + 1))
         return (lambda n: elements[n - 1]), n_grid
     sequence = config.sequence if config.scenario == "tv_chain" else (

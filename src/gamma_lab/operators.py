@@ -48,6 +48,9 @@ from .poly import Coef, Polynomial
 
 MAX_EXACT_DEGREE = 8
 MAX_EXACT_DIM = 12
+# Relative tolerances of the double-mode Dirichlet-form and Poincaré checks.
+DIRICHLET_RTOL = 1e-10
+POINCARE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,15 +160,12 @@ def check_diffusion(
 
 
 def dirichlet_energy(
-    op: DiffusionOperator,
-    f: Polynomial,
-    g: Polynomial | None = None,
-    tol: float = 1e-10,
+    op: DiffusionOperator, f: Polynomial, g: Polynomial | None = None
 ) -> Coef:
     """E(f, g) = -int f Lg dmu = int Gamma(f, g) dmu.
 
     Both routes are evaluated; they must agree (exactly in rational mode,
-    within ``tol`` relative in double mode).  This is the adjointness
+    within ``DIRICHLET_RTOL`` relative in double mode).  This is the adjointness
     sentinel for the generator/measure conventions.
     """
     if g is None:
@@ -177,7 +177,7 @@ def dirichlet_energy(
         mismatch = via_gamma != via_l
     else:
         scale = max(abs(float(via_gamma)), abs(float(via_l)), 1.0)
-        mismatch = abs(float(via_gamma) - float(via_l)) > tol * scale
+        mismatch = abs(float(via_gamma) - float(via_l)) > DIRICHLET_RTOL * scale
     if mismatch:
         raise ConsistencyError(
             "Dirichlet-form routes disagree "
@@ -238,38 +238,28 @@ class SpectralDecomposition:
         )
 
     def component(self, lam) -> Polynomial:
-        for key, comp in self.components.items():
-            if key == lam or abs(float(key) - float(lam)) <= 1e-9 * max(
-                1.0, abs(float(lam))
-            ):
-                return comp
-        exact = self.family.exact
-        return Polynomial.zero(self.dim, exact)
+        key = _match_float_eigenvalue(self.components, float(lam))
+        return self.components.get(key, Polynomial.zero(self.dim, self.family.exact))
 
 
-def spectral_decompose(
-    op: DiffusionOperator,
-    f: Polynomial,
-    max_degree: int = MAX_EXACT_DEGREE,
-    max_dim: int = MAX_EXACT_DIM,
-) -> SpectralDecomposition:
+def spectral_decompose(op: DiffusionOperator, f: Polynomial) -> SpectralDecomposition:
     """Expand f in the tensor orthogonal basis and group by eigenvalue.
 
     Works monomial by monomial via the cached one-dimensional expansions
     x^k = sum c_i p_i, so the cost tracks the sparsity of f rather than the
-    full tensor grid.  Desk-scale guard rails: total degree <= max_degree,
-    dimension <= max_dim.
+    full tensor grid.  Desk-scale guard rails: total degree <=
+    ``MAX_EXACT_DEGREE``, dimension <= ``MAX_EXACT_DIM``.
     """
     if f.dim != op.dim:
         raise DimensionMismatchError(f"f has dimension {f.dim}, operator {op.dim}")
     deg = f.degree()
-    if deg is not None and deg > max_degree:
+    if deg is not None and deg > MAX_EXACT_DEGREE:
         raise PreconditionError(
-            f"degree {deg} exceeds the spectral-decomposition limit {max_degree}"
+            f"degree {deg} exceeds the spectral-decomposition limit {MAX_EXACT_DEGREE}"
         )
-    if op.dim > max_dim:
+    if op.dim > MAX_EXACT_DIM:
         raise PreconditionError(
-            f"dimension {op.dim} exceeds the spectral-decomposition limit {max_dim}"
+            f"dimension {op.dim} exceeds the spectral-decomposition limit {MAX_EXACT_DIM}"
         )
     family = op.family
     exact = _common_exact(op, f)
@@ -336,9 +326,7 @@ class PoincareReport:
     lambda1_alt: Coef | None = None
 
 
-def poincare_check(
-    op: DiffusionOperator, f: Polynomial, tol: float = 1e-9
-) -> PoincareReport:
+def poincare_check(op: DiffusionOperator, f: Polynomial) -> PoincareReport:
     """Var(f) <= E(f)/lambda_1, both sides via the moment engine."""
     mu = op.measure
     var = variance(f, mu)
@@ -350,7 +338,7 @@ def poincare_check(
         var_f = finite_float(var, "variance")
         lam_f = finite_float(lam1, "spectral gap")
         e = finite_float(energy, "Dirichlet energy")
-        holds = var_f * lam_f <= e + tol * max(1.0, abs(e))
+        holds = var_f * lam_f <= e + POINCARE_RTOL * max(1.0, abs(e))
     alt = None
     if op.family.kind == "beta":
         alt = op.family.a + op.family.b - 1

@@ -473,10 +473,11 @@ class Polynomial:
         return cls(dim, terms, exact)
 
     @classmethod
-    def from_json(cls, text: str, exact: bool | None = None) -> "Polynomial":
+    def from_json(cls, text: str | bytes, exact: bool | None = None) -> "Polynomial":
+        """Read a polynomial record; bytes are decoded as UTF-8."""
         try:
-            data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
+            data = json.loads(text.decode() if isinstance(text, bytes) else text)
+        except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
             raise PreconditionError(f"invalid polynomial JSON: {exc}") from exc
         return cls.from_json_dict(data, exact)
 

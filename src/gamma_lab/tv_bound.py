@@ -42,7 +42,7 @@ per-replicate footprint is therefore
     + elements x kappa rows x 8 bytes     (Gamma(Q) values for the kappa fit)
     + width x BLOCK_ROWS x 8 bytes per pool thread  (the block being evaluated)
 
-with kappa rows = min(kappa_samples, samples) and width the largest element
+with kappa rows = min(KAPPA_SAMPLES, samples) and width the largest element
 dimension; every other buffer is a fixed number of chunks or blocks.  A
 pool thread lets go of its block before it draws the next one.
 
@@ -60,7 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .anticoncentration import _check_eps_grid, kappa_envelope
+from .anticoncentration import kappa_envelope
 from .distances import SampleSet, fortet_mourier, histogram_tv_floor, total_variation
 from .errors import ConsistencyError, DegenerateFunctionalError, PreconditionError
 from .measures import (
@@ -79,6 +79,14 @@ from .sampling import ordered_map, substream
 TWO_SQRT_2_OVER_PI = 2.0 * math.sqrt(2.0 / math.pi)
 # Smallest pool of a chain replicate: ceil(1000^(1/3)) = 10 histogram bins.
 MIN_CHAIN_SAMPLES = 1000
+# The rows of a chain replicate's pool that the kappa fit reads.
+KAPPA_SAMPLES = 100_000
+# Pooled standard errors an empirical d_TV may exceed its bound by before a
+# chain replicate fails its consistency gate.
+SLACK_SIGMAS = 3.0
+# The optimizer's logarithmic grids: (low, high, points).
+ALPHA_GRID = (1e-6, 1.0, 50)
+EPS_GRID = (1e-8, 1.0, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +103,6 @@ class MomentBudget:
     e_abs_lq_se: float
     var_q: float
     degenerate: bool
-    n_mc: int = 0
 
     @property
     def total(self) -> float:
@@ -120,7 +127,6 @@ def moment_budget(
         e_abs_lq_se=float(vals.std()) / math.sqrt(n),
         var_q=var_q,
         degenerate=var_q == 0.0,
-        n_mc=n,
     )
 
 
@@ -185,17 +191,8 @@ def evaluate_bound(
     )
 
 
-def optimize_bound(
-    d_fm: float,
-    kappa: float,
-    d: int,
-    budget_sup: float,
-    n_alpha: int = 50,
-    n_eps: int = 50,
-    alpha_range: tuple[float, float] = (1e-6, 1.0),
-    eps_range: tuple[float, float] = (1e-8, 1.0),
-) -> BoundReport:
-    """Grid-minimize the bound over logarithmic (alpha, eps) grids.
+def optimize_bound(d_fm: float, kappa: float, d: int, budget_sup: float) -> BoundReport:
+    """Grid-minimize the bound over the logarithmic ``ALPHA_GRID`` x ``EPS_GRID``.
 
     Deterministic: ties resolve to the smallest (alpha, eps) in grid order.
     """
@@ -203,8 +200,9 @@ def optimize_bound(
         raise PreconditionError("bound inputs must be nonnegative")
     if d < 1:
         raise PreconditionError("degree bound d must be >= 1")
-    alphas = np.logspace(math.log10(alpha_range[0]), math.log10(alpha_range[1]), n_alpha)
-    epss = np.logspace(math.log10(eps_range[0]), math.log10(eps_range[1]), n_eps)
+    (a_lo, a_hi, n_alpha), (e_lo, e_hi, n_eps) = ALPHA_GRID, EPS_GRID
+    alphas = np.logspace(math.log10(a_lo), math.log10(a_hi), n_alpha)
+    epss = np.logspace(math.log10(e_lo), math.log10(e_hi), n_eps)
     fm_terms = d_fm / alphas[:, None]
     smoothing = 4.0 * kappa * epss[None, :] ** (1.0 / (2 * d + 1))
     regularity = TWO_SQRT_2_OVER_PI * budget_sup * alphas[:, None] / epss[None, :]
@@ -213,8 +211,8 @@ def optimize_bound(
     i, j = divmod(flat, n_eps)
     report = evaluate_bound(d_fm, kappa, d, budget_sup, float(alphas[i]), float(epss[j]))
     trace = {
-        "alpha_grid": (alpha_range[0], alpha_range[1], n_alpha),
-        "eps_grid": (eps_range[0], eps_range[1], n_eps),
+        "alpha_grid": ALPHA_GRID,
+        "eps_grid": EPS_GRID,
         "best_index": (i, j),
         "at_grid_edge": i in (0, n_alpha - 1) or j in (0, n_eps - 1),
         "grid_min": float(totals[i, j]),
@@ -307,10 +305,6 @@ def run_chain_replicate(
     n_grid,
     n_samples: int,
     seed: int,
-    eps_grid=None,
-    kappa_samples: int = 100_000,
-    se_margin: float = 2.0,
-    slack_sigmas: float = 3.0,
     threads: int = 1,
 ) -> list[ChainRow]:
     """One replicate of the chain experiment on a common sample pool.
@@ -320,15 +314,14 @@ def run_chain_replicate(
     as tightly as the index sets allow (common random numbers).  The last
     element stands in for the limit law.  Raises DegenerateFunctionalError
     when that element has zero variance, and ConsistencyError when any
-    empirical d_TV exceeds its optimized bound beyond ``slack_sigmas``
+    empirical d_TV exceeds its optimized bound beyond ``SLACK_SIGMAS``
     pooled standard errors.  ``threads`` workers share the pool pass; the
     rows do not depend on it.  Fewer than ``MIN_CHAIN_SAMPLES`` samples
     raise PreconditionError.
     """
-    eps_grid = _check_eps_grid(eps_grid)
     chain = _prepare_chain(builder, family, n_grid, n_samples)
-    pool = _pool_pass(chain, family, n_samples, seed, kappa_samples, threads)
-    return _chain_rows(chain, *pool, seed, eps_grid, se_margin, slack_sigmas)
+    pool = _pool_pass(chain, family, n_samples, seed, threads)
+    return _chain_rows(chain, *pool)
 
 
 @dataclass(frozen=True)
@@ -391,17 +384,17 @@ def _prepare_chain(builder, family: MeasureFamily, n_grid, n_samples: int) -> _C
 
 
 def _pool_pass(chain: _Chain, family: MeasureFamily, n_samples: int, seed: int,
-               kappa_samples: int, threads: int):
+               threads: int):
     """One pass over a shared pool: (Q values, Gamma(Q) values, E|LQ|, its se).
 
     Every element's Q values on all rows, its Gamma(Q) values on the first
-    ``kappa_samples`` rows for the kappa fit, and |LQ| sums.  Chunks run on
+    ``KAPPA_SAMPLES`` rows for the kappa fit, and |LQ| sums.  Chunks run on
     up to ``threads`` workers.  Each sums |LQ| once over its whole chunk, so
     the sums do not depend on the block size, and the chunk sums are added
     in chunk order.
     """
     elements, dims, gammas, lqs = chain.elements, chain.dims, chain.gammas, chain.lqs
-    k_rows = min(kappa_samples, n_samples)
+    k_rows = min(KAPPA_SAMPLES, n_samples)
     f_vals = [np.empty(n_samples) for _ in elements]
     gam_vals = [np.empty(k_rows) for _ in elements]
 
@@ -439,19 +432,18 @@ def _pool_pass(chain: _Chain, family: MeasureFamily, n_samples: int, seed: int,
     return f_vals, gam_vals, e_abs_lqs, lq_ses
 
 
-def _chain_rows(chain: _Chain, f_vals, gam_vals, e_abs_lqs, lq_ses, seed: int,
-                eps_grid, se_margin: float, slack_sigmas: float) -> list[ChainRow]:
+def _chain_rows(chain: _Chain, f_vals, gam_vals, e_abs_lqs, lq_ses) -> list[ChainRow]:
     """The kappa envelope, FM/TV/floor per element, the bound and its gate."""
     budgets = [gg + lq for gg, lq in zip(chain.e_gamma_gammas, e_abs_lqs)]
     sup_idx = int(np.argmax(budgets))
     budget_sup = budgets[sup_idx]
     d = chain.degree
-    kappa = kappa_envelope(gam_vals, eps_grid, d, se_margin)
+    kappa = kappa_envelope(gam_vals, d)
 
-    ref = SampleSet(f_vals[-1], seed=seed, provenance="chain-reference")
+    ref = SampleSet(f_vals[-1], provenance="chain-reference")
     rows = []
     for idx, n in enumerate(chain.n_grid):
-        cur = SampleSet(f_vals[idx], seed=seed, provenance=f"chain-n={n}")
+        cur = SampleSet(f_vals[idx], provenance=f"chain-n={n}")
         fm = fortet_mourier(cur, ref)
         tv = total_variation(cur, ref)
         floor = histogram_tv_floor(ref, tv)
@@ -460,10 +452,10 @@ def _chain_rows(chain: _Chain, f_vals, gam_vals, e_abs_lqs, lq_ses, seed: int,
             TWO_SQRT_2_OVER_PI * (report.alpha / report.eps) * lq_ses[sup_idx]
         )
         pooled_se = math.sqrt(tv.uncertainty**2 + se_bound**2)
-        if tv.estimate > report.total + slack_sigmas * pooled_se:
+        if tv.estimate > report.total + SLACK_SIGMAS * pooled_se:
             raise ConsistencyError(
                 f"chain pair n={n}: empirical d_TV {tv.estimate} exceeds the "
-                f"optimized bound {report.total} beyond {slack_sigmas} pooled "
+                f"optimized bound {report.total} beyond {SLACK_SIGMAS} pooled "
                 "standard errors"
             )
         rows.append(

@@ -224,8 +224,7 @@ def test_criterion_06_smoothed_functional_shape():
     expected = DEFAULT_EPS_GRID / (1 + DEFAULT_EPS_GRID)
     matches = bool(np.all(np.abs(est - expected) <= 3 * se + 1e-12))
     below_cube_root = bool(np.all(est <= DEFAULT_EPS_GRID ** (1 / 3)))
-    kappa = gl.kappa_fit([x], mu1, d=1, eps_grid=DEFAULT_EPS_GRID,
-                         n=100_000, seed=6)
+    kappa = gl.kappa_fit([x], mu1, d=1, n=100_000, seed=6)
     ok = matches and below_cube_root and kappa <= 1.0
     report(6, ok, f"functional = eps/(1+eps) to 3 s.e., <= eps^(1/3); "
                   f"kappa = {kappa:.3f} <= 1")

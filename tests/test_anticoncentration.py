@@ -171,7 +171,7 @@ def test_smoothed_functional_large_eps_limit():
 
 def test_kappa_constant_gamma_case():
     # oracle: eps/(1+eps) <= eps^(1/3) on (0, 1], with max ratio 1/2 at eps = 1
-    kappa = kappa_fit([X1], MU1, d=1, eps_grid=DEFAULT_EPS_GRID, n=20_000, seed=13)
+    kappa = kappa_fit([X1], MU1, d=1, n=20_000, seed=13)
     grid_max = max(e ** (2 / 3) / (1 + e) for e in DEFAULT_EPS_GRID)
     assert kappa == pytest.approx(grid_max, abs=1e-12)
     assert kappa <= 1.0
@@ -182,8 +182,3 @@ def test_kappa_decreases_when_variance_doubles():
     kappa1 = kappa_fit([q], MU2, d=2, n=50_000, seed=14)
     kappa2 = kappa_fit([q.scale(2)], MU2, d=2, n=50_000, seed=14)
     assert kappa2 < kappa1
-
-
-def test_kappa_empty_grid_rejected():
-    with pytest.raises(PreconditionError):
-        kappa_fit([X1], MU1, d=1, eps_grid=np.array([]), n=100, seed=15)

@@ -354,9 +354,30 @@ def test_cli_distance_samples_and_poly(tmp_path):
     assert float(row[1]) < 0.1
 
 
+def test_cli_distance_sample_file_seed_header_is_not_read(tmp_path):
+    # The "# seed=" header of a sample file is a note: its value, even one
+    # that is not a number, leaves the distance unchanged.
+    save_samples(tmp_path / "s.samples", np.random.default_rng(0).standard_normal(2_000),
+                 seed=0, provenance="test")
+    lines = tmp_path.joinpath("s.samples").read_text().splitlines(keepends=True)
+    csvs = {}
+    for name, seed_line in {"odd": "# seed=abc\n", "none": ""}.items():
+        text = "".join(seed_line if ln.startswith("# seed=") else ln for ln in lines)
+        (tmp_path / f"{name}.samples").write_text(text)
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("distance", "--metric", "tv", "--left", f"@{tmp_path / name}.samples",
+                       "--right", "analytic:gaussian", "--out", str(out)) == EXIT_OK
+        csvs[name] = out.read_bytes()
+    assert csvs["odd"] == csvs["none"]
+
+
 def test_cli_distance_bad_spec(tmp_path):
     assert run_cli("distance", "--metric", "tv", "--left", "nonsense:spec",
                    "--right", "analytic:uniform") == EXIT_CONFIG
+
+
+# Bytes that are not UTF-8 (a UTF-16 byte-order mark).
+NOT_UTF8 = b"\xff\xfe{}"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -394,8 +415,15 @@ def test_cli_distance_bad_spec(tmp_path):
     # An integer beyond Python's int-string digit limit is invalid JSON here.
     (["generator", "--poly", "{bigcoef}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["run", "--config", "{bigseed}"], EXIT_CONFIG),
+    # Polynomial bytes that are not UTF-8 are invalid JSON, from a file, from
+    # stdin, or from a custom run's poly_files.
+    (["generator", "--poly", "{notutf8}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "-", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["run", "--config", "{custom}"], EXIT_PRECONDITION),
 ])
-def test_cli_malformed_input_exit_codes(tmp_path, argv, code):
+def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, argv, code):
+    (tmp_path / "notutf8.json").write_bytes(NOT_UTF8)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
     files = {
         "q": Polynomial.variable(1, 1).to_json(),
         "nocoef": '{"dim": 1, "terms": [{"exps": [[1, 1]]}]}',
@@ -403,13 +431,21 @@ def test_cli_malformed_input_exit_codes(tmp_path, argv, code):
         "nodim": '{"terms": [{"exps": [[1, 1]], "coef": 1}]}',
         "bigcoef": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": %s}]}' % ("9" * 5000),
         "bigseed": '{"seed": %s}' % ("9" * 5000),
+        "custom": json.dumps({
+            "schema": "gamma-lab/1", "scenario": "custom", "seed": 1,
+            "family": {"kind": "gaussian"}, "samples": 2000,
+            "poly_files": [str(tmp_path / "q.json"), str(tmp_path / "notutf8.json")],
+        }),
     }
-    paths = {"missing": str(tmp_path / "missing.samples")}
+    paths = {"missing": str(tmp_path / "missing.samples"),
+             "notutf8": str(tmp_path / "notutf8.json")}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
         paths[name] = str(tmp_path / f"{name}.json")
     argv = [a.format(**paths) for a in argv]
-    assert run_cli(*argv, "--out", str(tmp_path / "out")) == code
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == code
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, record", [
@@ -674,10 +710,16 @@ def test_emit_plot_missing_column(tmp_path):
     assert run_cli("emit-plot", str(csv), "--columns", "zz") == EXIT_CONFIG
 
 
-def test_emit_plot_non_numeric(tmp_path):
+@pytest.mark.parametrize("content", [
+    b"a,b\n1,hello\n",
+    b"a,b\n1\n",
+    b"a,b\n1,\xff\n",
+], ids=["non-numeric", "short-row", "not-utf8"])
+def test_emit_plot_rejects_bad_csv(tmp_path, content):
     csv = tmp_path / "t.csv"
-    csv.write_text("a,b\n1,hello\n")
+    csv.write_bytes(content)
     assert run_cli("emit-plot", str(csv), "--columns", "b") == EXIT_CONFIG
+    assert not (tmp_path / "t.dat").exists()
 
 
 # -- CLI argument fuzzing -------------------------------------------------------------
@@ -793,6 +835,19 @@ def _poly_record(draw):
     return {"dim": draw(st.sampled_from([dim, dim, dim, 0, "x"])), "terms": terms}
 
 
+@st.composite
+def _poly_file(draw):
+    # A polynomial file's bytes: mostly a JSON record, sometimes cut short or
+    # not UTF-8.
+    data = json.dumps(draw(_poly_record())).encode()
+    kind = draw(st.sampled_from(["record", "record", "record", "truncated", "not-utf8"]))
+    if kind == "truncated":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "not-utf8":
+        return draw(st.binary(max_size=4)) + b"\xff" + data
+    return data
+
+
 # An exact family parameter that no float can hold.
 FAMILY_BEYOND_FLOAT = ["--family", "gamma", "--r", str(10**400)]
 
@@ -813,21 +868,26 @@ def _refuse_constant(name):
     raise ValueError(f"non-finite number {name} in the output")
 
 
-FOUND_POINCARE = {"dim": 1, "terms": [{"exps": [[1, 1]], "coef": 10**200}]}
+FOUND_POINCARE = json.dumps(
+    {"dim": 1, "terms": [{"exps": [[1, 1]], "coef": 10**200}]}).encode()
 
 
 @settings(max_examples=150)
-@given(argv=_operator_argv(), record=_poly_record(), record2=_poly_record())
+@given(argv=_operator_argv(), record=_poly_file(), record2=_poly_file())
 # Variance 10^400: an OverflowError traceback in float(variance).
 @example(argv=["poincare", "--poly", "{p}", "--family", "gaussian"],
          record=FOUND_POINCARE, record2=FOUND_POINCARE)
+# A UnicodeDecodeError traceback in reading the file.
+@example(argv=["generator", "--poly", "{p}", "--family", "gaussian"],
+         record=NOT_UTF8, record2=NOT_UTF8)
 def test_cli_fuzzed_operator_commands_exit_with_documented_code(cli_dir, argv, record,
                                                                 record2):
-    # Any polynomial and family runs or exits 2, 3 or 4 with a message: never
-    # a traceback, never a NaN or inf in the output, and no output on failure.
+    # Any polynomial file and family runs or exits 2, 3 or 4 with a message:
+    # never a traceback, never a NaN or inf in the output, and no output on
+    # failure.
     paths = {"p": cli_dir / "op.json", "p2": cli_dir / "op2.json"}
-    paths["p"].write_text(json.dumps(record))
-    paths["p2"].write_text(json.dumps(record2))
+    paths["p"].write_bytes(record)
+    paths["p2"].write_bytes(record2)
     argv = [a.format(**paths) for a in argv]
     out = cli_dir / "op_out.json"
     out.unlink(missing_ok=True)

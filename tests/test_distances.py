@@ -28,7 +28,7 @@ KS_CRIT_1PCT = float(kstwobign.ppf(0.99))
 
 def gaussian_samples(n, seed, loc=0.0, scale=1.0):
     rng = np.random.default_rng(seed)
-    return SampleSet(loc + scale * rng.standard_normal(n), seed=seed)
+    return SampleSet(loc + scale * rng.standard_normal(n))
 
 
 # -- Kolmogorov ---------------------------------------------------------------

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gamma_lab.anticoncentration import DEFAULT_EPS_GRID, kappa_fit
 from gamma_lab.distances import SampleSet, fortet_mourier, total_variation
 from gamma_lab.errors import (
     ConsistencyError,
@@ -332,25 +331,6 @@ def test_chain_rejects_bad_grid(no_draw):
         )
 
 
-@pytest.mark.parametrize("eps_grid, message", [
-    ([0.0], "eps grid must be positive and finite"),
-    ([-0.1], "eps grid must be positive and finite"),
-    ([], "empty eps grid"),
-    ([1e-3, math.nan], "eps grid must be positive and finite"),
-    ([math.inf], "eps grid must be positive and finite"),
-], ids=["zero", "negative", "empty", "nan", "inf"])
-def test_chain_refuses_bad_eps_grid(no_draw, eps_grid, message):
-    fam = gaussian()
-    with pytest.raises(PreconditionError, match=message):
-        run_chain_replicate(
-            lambda n: linear_sum_sequence(fam, n), fam, [2, 4], 2_000, seed=1,
-            eps_grid=eps_grid,
-        )
-    with pytest.raises(PreconditionError, match=message):
-        kappa_fit([linear_sum_sequence(fam, 2)], ProductMeasure(fam, 2), d=1,
-                  eps_grid=eps_grid, n=100)
-
-
 def test_budget_and_chain_prepare_share_gamma_gamma():
     fam = gamma(2)
     q = pair_product_sequence(fam, 4)
@@ -384,11 +364,12 @@ def test_chain_small_scale_structure():
     assert rows[-1].d_tv_hat == 0.0  # last element compared with itself
 
 
-def test_chain_bound_violation_is_consistency_error():
+def test_chain_bound_violation_is_consistency_error(monkeypatch):
+    monkeypatch.setattr(tv_bound, "SLACK_SIGMAS", -1e9)
     with pytest.raises(ConsistencyError):
         run_chain_replicate(
             lambda n: linear_sum_sequence(gaussian(), n), gaussian(), [2, 4],
-            10_000, seed=4, slack_sigmas=-1e9,
+            10_000, seed=4,
         )
 
 
@@ -401,9 +382,10 @@ def test_chain_rejects_too_few_samples():
         )
 
 
-def test_chain_rows_do_not_depend_on_pool_threads():
+def test_chain_rows_do_not_depend_on_pool_threads(monkeypatch):
     # A partial last chunk, and a kappa row count inside a draw block; more
     # workers than cores, switching threads often.
+    monkeypatch.setattr(tv_bound, "KAPPA_SAMPLES", 70_001)
     fam = beta(2, 2)
     n_samples = 3 * CHUNK_ROWS + 12345
     interval = sys.getswitchinterval()
@@ -412,7 +394,7 @@ def test_chain_rows_do_not_depend_on_pool_threads():
         runs = [
             run_chain_replicate(
                 lambda n: pair_product_sequence(fam, n), fam, [2, 4],
-                n_samples, seed=6, kappa_samples=70_001, threads=threads,
+                n_samples, seed=6, threads=threads,
             )
             for threads in (1, 2, 8)
         ]
@@ -453,14 +435,12 @@ def test_chain_rows_read_the_value_columns_in_place():
         lambda n: linear_sum_sequence(fam, n), fam, [2, 4, 8, 16, 32], n_samples
     )
     f_vals, gam_vals, e_abs_lqs, lq_ses = tv_bound._pool_pass(
-        chain, fam, n_samples, seed=1, kappa_samples=100_000, threads=1
+        chain, fam, n_samples, seed=1, threads=1
     )
     columns = sum(v.nbytes for v in f_vals) + sum(v.nbytes for v in gam_vals)
-    eps_grid = np.asarray(DEFAULT_EPS_GRID)
     tracemalloc.start()
     try:
-        tv_bound._chain_rows(chain, f_vals, gam_vals, e_abs_lqs, lq_ses, 1,
-                             eps_grid, 2.0, 3.0)
+        tv_bound._chain_rows(chain, f_vals, gam_vals, e_abs_lqs, lq_ses)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
