@@ -15,6 +15,8 @@ Subcommands
 Exit codes: 0 success, 2 configuration error, 3 violated precondition
 (e.g. family parameters outside the log-concave range, degenerate chain
 limit, a NaN or infinite output value), 4 failed internal consistency check.
+An --out that cannot be written (a file where a directory must go, or the
+reverse) is exit 2, and nothing is written.
 Option values and spec fields follow the config rules (exit 2): no boolean
 is a number, every number is finite as a float, a seed is >= 0, a sample
 count (--samples, a poly spec's n) is >= 1, and a spec's unknown or stray
@@ -411,6 +413,9 @@ def main(argv=None) -> int:
     except GammaLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONSISTENCY
+    except OSError as exc:  # an unwritable --out: each reader raises ConfigError itself
+        sys.stderr.write(f"config error: cannot write {exc.filename}: {exc.strerror}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

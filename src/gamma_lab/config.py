@@ -7,6 +7,9 @@ randomness derives from the single ``seed`` through named substreams
 (scenario, replicate), so any cell of any output can be reproduced in
 isolation.
 
+``_SCENARIOS`` is the one list of scenarios: the keys each takes, the
+chain sequence it runs and its default family.
+
 A run writes a ``manifest.json`` next to its CSVs recording the embedded
 config, its hash, the seed, package version, coarse timings and the output
 file list.  Feeding a manifest back to ``run`` re-executes the embedded
@@ -24,40 +27,26 @@ from fractions import Fraction
 from .anticoncentration import MIN_STABILITY_FACTOR
 from .errors import ConfigError
 from .measures import MeasureFamily, beta, gamma, gaussian
+from .tv_bound import SEQUENCES
 
 CONFIG_SCHEMA = "gamma-lab/1"
 MANIFEST_SCHEMA = "gamma-lab-manifest/1"
 
-SCENARIOS = (
-    "clt_linear",
-    "chaos2",
-    "gamma_clt",
-    "beta_clt",
-    "cos2_counterexample",
-    "cw_sweep",
-    "tv_chain",
-    "custom",
-)
-
-_CHAIN_SCENARIOS = ("clt_linear", "chaos2", "gamma_clt", "beta_clt", "tv_chain", "custom")
-
 _COMMON_KEYS = {"schema", "scenario", "seed", "out"}
-_ALLOWED_KEYS = {
-    "cos2_counterexample": _COMMON_KEYS | {"n_grid"},
-    "clt_linear": _COMMON_KEYS | {"family", "n_grid", "samples", "replicates"},
-    "chaos2": _COMMON_KEYS | {"family", "n_grid", "samples", "replicates"},
-    "gamma_clt": _COMMON_KEYS | {"family", "n_grid", "samples", "replicates"},
-    "beta_clt": _COMMON_KEYS | {"family", "n_grid", "samples", "replicates"},
-    "tv_chain": _COMMON_KEYS | {"family", "sequence", "n_grid", "samples", "replicates"},
-    "custom": _COMMON_KEYS | {"family", "poly_files", "samples", "replicates"},
-    "cw_sweep": _COMMON_KEYS | {"family", "poly", "alphas", "samples", "stability_factor"},
-}
 
-_DEFAULT_FAMILY = {
-    "clt_linear": lambda: gaussian(),
-    "chaos2": lambda: gaussian(),
-    "gamma_clt": lambda: gamma(2),
-    "beta_clt": lambda: beta(2, 2),
+# Each scenario: the keys it takes besides _COMMON_KEYS; the SEQUENCES name
+# of the chain it runs (tv_chain's is its "sequence" key); and the family
+# record that stands in for an absent "family".
+_CHAIN_KEYS = {"family", "n_grid", "samples", "replicates"}
+_SCENARIOS = {
+    "clt_linear": (_CHAIN_KEYS, "clt_linear", {"kind": "gaussian"}),
+    "chaos2": (_CHAIN_KEYS, "chaos2", {"kind": "gaussian"}),
+    "gamma_clt": (_CHAIN_KEYS, "clt_linear", {"kind": "gamma", "r": 2}),
+    "beta_clt": (_CHAIN_KEYS, "clt_linear", {"kind": "beta", "a": 2, "b": 2}),
+    "cos2_counterexample": ({"n_grid"}, None, None),
+    "cw_sweep": ({"family", "poly", "alphas", "samples", "stability_factor"}, None, None),
+    "tv_chain": (_CHAIN_KEYS | {"sequence"}, None, None),
+    "custom": ({"family", "poly_files", "samples", "replicates"}, None, None),
 }
 
 
@@ -184,9 +173,10 @@ def parse_config(data: dict, text=None) -> ExperimentConfig:
             f"config schema must be {CONFIG_SCHEMA!r}, got {data.get('schema')!r}"
         )
     scenario = data.get("scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    check_keys(data, _ALLOWED_KEYS[scenario], f"config keys for scenario {scenario}")
+    if not isinstance(scenario, str) or scenario not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; choose from {tuple(_SCENARIOS)}")
+    keys, sequence, default_family = _SCENARIOS[scenario]
+    check_keys(data, _COMMON_KEYS | keys, f"config keys for scenario {scenario}")
 
     def ascending(key, kind, default=_REQUIRED):
         values = read_field(data, key, [kind], default=default, text=text)
@@ -202,57 +192,50 @@ def parse_config(data: dict, text=None) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")
 
+    # The family comes before every scenario field: a family out of its
+    # range exits 3 ahead of any exit-2 fault in the rest of the record.
     family = None
-    if "family" in data:
-        family = parse_family(data["family"], text)
-    elif scenario in _DEFAULT_FAMILY:
-        family = _DEFAULT_FAMILY[scenario]()
+    if "family" in data or default_family:
+        family = parse_family(data.get("family", default_family), text)
 
+    # One check order for every scenario; each field only where it is taken.
     kwargs: dict = {}
-    if scenario == "cos2_counterexample":
+    if "n_grid" in keys:
         kwargs["n_grid"] = ascending("n_grid", int)
-    elif scenario in _CHAIN_SCENARIOS:
-        if scenario == "custom":
-            files = data.get("poly_files")
-            if not isinstance(files, list) or not files or not all(
-                isinstance(f, str) for f in files
-            ):
-                raise ConfigError("poly_files must be a nonempty list of paths")
-            kwargs["poly_files"] = tuple(files)
-        else:
-            kwargs["n_grid"] = ascending("n_grid", int)
-        if scenario == "tv_chain":
-            seq = data.get("sequence")
-            if seq not in ("clt_linear", "chaos2"):
-                raise ConfigError(
-                    "tv_chain requires sequence 'clt_linear' or 'chaos2'"
-                )
-            kwargs["sequence"] = seq
-            if family is None:
-                raise ConfigError("tv_chain requires a family")
-        if scenario == "custom" and family is None:
-            raise ConfigError("custom scenario requires a family")
-        kwargs["samples"] = read_field(data, "samples", default=1_000_000, text=text)
-        kwargs["replicates"] = read_field(data, "replicates", default=1, text=text)
-    elif scenario == "cw_sweep":
-        if family is None:
-            raise ConfigError("cw_sweep requires a family")
+    if "poly_files" in keys:
+        files = data.get("poly_files")
+        if not isinstance(files, list) or not files or not all(
+            isinstance(f, str) for f in files
+        ):
+            raise ConfigError("poly_files must be a nonempty list of paths")
+        kwargs["poly_files"] = tuple(files)
+    if "sequence" in keys:
+        sequence = data.get("sequence")
+        if not isinstance(sequence, str) or sequence not in SEQUENCES:
+            raise ConfigError(
+                f"{scenario} requires sequence {' or '.join(map(repr, SEQUENCES))}"
+            )
+    if "family" in keys and family is None:
+        raise ConfigError(f"{scenario} requires a family")
+    if "poly" in keys:
         poly = data.get("poly")
         if not isinstance(poly, dict):
             raise ConfigError("cw_sweep requires an inline poly record")
         kwargs["poly"] = poly
+    if "alphas" in keys:
         kwargs["alphas"] = ascending("alphas", float, default=None) or tuple(
             10.0 ** (-3 + i / 4) for i in range(13)
         )
-        kwargs["samples"] = read_field(data, "samples", default=1_000_000, text=text)
-        if data.get("stability_factor", 0) is None:
-            kwargs["stability_factor"] = None
-        elif "stability_factor" in data:
-            kwargs["stability_factor"] = read_field(data, "stability_factor", text=text)
+    for key in ("samples", "replicates"):  # absent: the ExperimentConfig default
+        if key in data:
+            kwargs[key] = read_field(data, key, text=text)
+    if data.get("stability_factor", 0) is None:
+        kwargs["stability_factor"] = None
+    elif "stability_factor" in data:
+        kwargs["stability_factor"] = read_field(data, "stability_factor", text=text)
 
-    return ExperimentConfig(
-        scenario=scenario, seed=seed, family=family, out=out, raw=dict(data), **kwargs
-    )
+    return ExperimentConfig(scenario=scenario, seed=seed, family=family, sequence=sequence,
+                            out=out, raw=dict(data), **kwargs)
 
 
 def config_hash(data: dict) -> str:

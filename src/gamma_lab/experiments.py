@@ -98,14 +98,11 @@ def _read_poly_file(path: str, exact: bool | None = None) -> Polynomial:
 
 
 def _chain_builder(config: ExperimentConfig):
-    if config.scenario == "custom":
+    if config.sequence is None:  # custom: the chain of its polynomial files
         elements = [_read_poly_file(fname) for fname in config.poly_files]
         n_grid = tuple(range(1, len(elements) + 1))
         return (lambda n: elements[n - 1]), n_grid
-    sequence = config.sequence if config.scenario == "tv_chain" else (
-        "chaos2" if config.scenario == "chaos2" else "clt_linear"
-    )
-    builder_fn = SEQUENCES[sequence]
+    builder_fn = SEQUENCES[config.sequence]
     family = config.family
     return (lambda n: builder_fn(family, n)), config.n_grid
 

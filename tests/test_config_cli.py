@@ -479,6 +479,54 @@ def test_cli_non_finite_or_tiny_runs_exit_3(tmp_path, argv, record):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["run", "--config", "{cfg}"], "{file}"),
+    (["run", "--config", "{cfg}"], "{file}/sub"),
+    (["distance", "--metric", "kol", "--left", "analytic:uniform",
+      "--right", "analytic:cos2:n=2"], "{file}/distance.csv"),
+    (["generator", "--poly", "{poly}", "--family", "gaussian"], "{file}/lq.json"),
+    (["tv-bound", "optimize", "--config", "{bound}"], "{file}/bound.csv"),
+    (["emit-plot", "{csv}"], "{file}/plot.dat"),
+], ids=["run-file", "run-under-file", "distance", "operator", "tv-bound", "emit-plot"])
+def test_cli_unwritable_out_exits_2_and_writes_nothing(tmp_path, capsys, argv, out):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "table.csv").write_text("n,x\n1,2\n")
+    paths = {
+        "file": str(tmp_path / "file"),
+        "cfg": write_json(tmp_path / "cfg.json", dict(BASE_CHAIN, samples=2000)),
+        "poly": write_json(tmp_path / "q.json", Polynomial.variable(1, 1).to_json_dict()),
+        "bound": write_json(tmp_path / "bound.json", {"d_fm": 0.01, "kappa": 1.0,
+                                                      "degree": 1, "budget_sup": 1.0}),
+        "csv": str(tmp_path / "table.csv"),
+    }
+    before = sorted(tmp_path.rglob("*"))
+    out = out.format(**paths)
+    assert run_cli(*[a.format(**paths) for a in argv], "--out", out) == EXIT_CONFIG
+    assert f"config error: cannot write {out}: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("scenario, sequence, family", [
+    ("clt_linear", "clt_linear", {"kind": "gaussian"}),
+    ("chaos2", "chaos2", {"kind": "gaussian"}),
+    ("gamma_clt", "clt_linear", {"kind": "gamma", "r": 2}),
+    ("beta_clt", "clt_linear", {"kind": "beta", "a": 2, "b": 2}),
+])
+def test_preset_scenario_writes_the_bytes_of_its_explicit_tv_chain(tmp_path, scenario,
+                                                                    sequence, family):
+    base = {"schema": "gamma-lab/1", "seed": 9, "n_grid": [2, 4], "samples": 2000,
+            "replicates": 2}
+    preset = write_json(tmp_path / "preset.json", dict(base, scenario=scenario))
+    explicit = write_json(tmp_path / "explicit.json",
+                          dict(base, scenario="tv_chain", sequence=sequence, family=family))
+    assert run_cli("run", "--config", preset, "--out", str(tmp_path / "preset")) == EXIT_OK
+    assert run_cli("run", "--config", explicit, "--out", str(tmp_path / "explicit")) == EXIT_OK
+    for suffix in (".csv", "_summary.csv"):
+        assert (read_bytes(tmp_path / "preset" / f"{scenario}{suffix}")
+                == read_bytes(tmp_path / "explicit" / f"tv_chain{suffix}"))
+
+
 def test_run_manifest_records_chain_diagnostics(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", BASE_CHAIN)
     out = tmp_path / "out"
