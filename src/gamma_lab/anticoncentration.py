@@ -52,8 +52,6 @@ class SmallBallCurve:
     probs: np.ndarray
     stderrs: np.ndarray
     n: int
-    seed: int
-    degree: int
     l2_norm: float  # sqrt(E Q^2), exact moment engine
 
 
@@ -94,7 +92,7 @@ def small_ball(
         raise PreconditionError("small_ball requires a nonconstant polynomial")
     l2 = math.sqrt(finite_float(expectation(q * q, mu), "E[Q^2]"))
     probs, stderrs = _ball_probs(q, mu, alphas, n, seed, "small-ball")
-    return SmallBallCurve(alphas, probs, stderrs, n, seed, degree, l2)
+    return SmallBallCurve(alphas, probs, stderrs, n, l2)
 
 
 def carbery_wright_check(
@@ -125,7 +123,7 @@ def carbery_wright_check(
     probs, stderrs = _ball_probs(q, mu, alphas, n, seed, "small-ball")
     ratios = probs * norm_factor / alphas ** (1.0 / k)
     c_hat = float(ratios.max() / k)
-    curve = SmallBallCurve(alphas, probs, stderrs, n, seed, k, l2)
+    curve = SmallBallCurve(alphas, probs, stderrs, n, l2)
 
     n_big = c_big = stable = None
     if stability_factor is not None:

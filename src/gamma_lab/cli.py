@@ -23,7 +23,8 @@ count (--samples, a poly spec's n) is >= 1, and a spec's unknown or stray
 key is rejected.  ``cw-check`` is the cw_sweep scenario on its options.
 
 Input specs for ``distance``:
-    @file.samples                           sample column written by the library
+    @file.samples                           one float a line; blank, #... and
+                                            value lines are skipped
     analytic:uniform                        uniform law on [0, pi]
     analytic:cos2:n=5                       density (2/pi) cos^2(5x) on [0, pi]
     analytic:gaussian:mu=0:sigma=1          normal law
@@ -58,11 +59,11 @@ from .distances import (
     kolmogorov,
     total_variation,
 )
-from .errors import ConfigError, ConsistencyError, GammaLabError, PreconditionError
+from .errors import ConfigError, ConsistencyError, PreconditionError
 from .experiments import (
     CW_HEADER, _read_poly_file, cw_sweep_rows, run_experiment, write_csv,
 )
-from .measures import ProductMeasure, finite_float, load_samples
+from .measures import ProductMeasure, finite_float
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .operators import poincare_check as _poincare_check
 from .operators import spectral_decompose
@@ -118,16 +119,23 @@ _SPEC_KEYS = {"uniform": (), "cos2": ("n",), "gaussian": ("mu", "sigma"),
               "poly": ("family", "r", "a", "b", "n", "seed")}
 
 
+def _read_samples(path: str) -> SampleSet:
+    """A sample file's floats, one a line; blank, ``#`` and ``value`` lines are skipped."""
+    try:
+        with open(path) as fh:
+            values = [float(line) for line in map(str.strip, fh)
+                      if line and not line.startswith("#") and line != "value"]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read sample file {path}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"sample file {path} is empty")
+    return SampleSet(np.asarray(values), provenance=path)
+
+
 def _parse_spec(spec: str, seed: int):
     """Turn a distance input spec into a SampleSet or AnalyticLaw."""
     if spec.startswith("@"):
-        try:
-            values, meta = load_samples(spec[1:])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read sample file {spec[1:]}: {exc}") from exc
-        if values.size == 0:
-            raise ConfigError(f"sample file {spec[1:]} is empty")
-        return SampleSet(values, provenance=meta.get("provenance", spec[1:]))
+        return _read_samples(spec[1:])
     kind, *items = spec.split(":")
     name, opts = None, {}
     for item in items:
@@ -410,9 +418,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
-    except GammaLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONSISTENCY
     except OSError as exc:  # an unwritable --out: each reader raises ConfigError itself
         sys.stderr.write(f"config error: cannot write {exc.filename}: {exc.strerror}\n")
         return EXIT_CONFIG

@@ -250,8 +250,11 @@ def _sign_change_roots(fn, lo: float, hi: float, npts: int) -> np.ndarray:
                xtol=ROOT_XTOL, disp=False)
         for i in idx
     ]
-    # Exact zeros on the grid count as crossings too.
-    roots.extend(grid[np.flatnonzero(vals == 0.0)].tolist())
+    # An exact zero on the grid counts as a crossing too, unless both its
+    # neighbours are zeros (past an end counts as zero): there fn vanishes
+    # on a stretch, as for two equal laws, and no piece needs cutting.
+    zero = np.concatenate([[True], vals == 0.0, [True]])
+    roots.extend(grid[zero[1:-1] & ~(zero[:-2] & zero[2:])].tolist())
     return np.asarray(sorted(roots))
 
 

@@ -500,47 +500,3 @@ def functional_values(
     if not np.isfinite(values).all():
         raise PreconditionError(f"non-finite polynomial value under {mu.family.label()}")
     return values
-
-
-def save_samples(
-    path,
-    values: np.ndarray,
-    *,
-    seed,
-    provenance: str = "",
-    family: str = "",
-    m: int | None = None,
-) -> None:
-    """Write a 1-D sample column as CSV with a commented reproducibility header."""
-    values = np.asarray(values, dtype=float).ravel()
-    with open(path, "w") as fh:
-        fh.write("# gamma-lab samples v1\n")
-        fh.write(f"# seed={seed}\n")
-        fh.write(f"# m={'' if m is None else m}\n")
-        fh.write(f"# n={values.size}\n")
-        fh.write(f"# family={family}\n")
-        fh.write(f"# provenance={provenance}\n")
-        fh.write("value\n")
-        for v in values:
-            fh.write(repr(float(v)) + "\n")
-
-
-def load_samples(path) -> tuple[np.ndarray, dict]:
-    """Read a sample column written by :func:`save_samples`."""
-    meta: dict[str, str] = {}
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("# ")
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            if line == "value":
-                continue
-            values.append(float(line))
-    return np.asarray(values), meta

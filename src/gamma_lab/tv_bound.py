@@ -55,7 +55,7 @@ the experiment meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -167,7 +167,7 @@ class BoundReport:
     smoothing_term: float
     regularity_term: float
     total: float
-    trace: dict = field(default_factory=dict)
+    at_grid_edge: bool = False  # set by optimize_bound: the optimum is on a grid edge
 
 
 def evaluate_bound(
@@ -210,14 +210,7 @@ def optimize_bound(d_fm: float, kappa: float, d: int, budget_sup: float) -> Boun
     flat = int(np.argmin(totals))
     i, j = divmod(flat, n_eps)
     report = evaluate_bound(d_fm, kappa, d, budget_sup, float(alphas[i]), float(epss[j]))
-    trace = {
-        "alpha_grid": ALPHA_GRID,
-        "eps_grid": EPS_GRID,
-        "best_index": (i, j),
-        "at_grid_edge": i in (0, n_alpha - 1) or j in (0, n_eps - 1),
-        "grid_min": float(totals[i, j]),
-    }
-    return replace(report, trace=trace)
+    return replace(report, at_grid_edge=i in (0, n_alpha - 1) or j in (0, n_eps - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +461,7 @@ def _chain_rows(chain: _Chain, f_vals, gam_vals, e_abs_lqs, lq_ses) -> list[Chai
                 bound=report.total,
                 d_tv_floor=floor, above_floor=tv.estimate > floor,
                 vacuous=report.total >= 1.0,
-                at_grid_edge=report.trace["at_grid_edge"],
+                at_grid_edge=report.at_grid_edge,
                 tv_bins=tv.params["bins"], fm_step=fm.uncertainty,
             )
         )

@@ -19,7 +19,6 @@ from gamma_lab.cli import (
 )
 from gamma_lab.config import config_hash, parse_config
 from gamma_lab.errors import ConfigError, PreconditionError
-from gamma_lab.measures import save_samples
 from gamma_lab.poly import Polynomial
 from gamma_lab.sampling import CHUNK_ROWS
 
@@ -32,6 +31,13 @@ def write_json(path, data):
     with open(path, "w") as fh:
         json.dump(data, fh)
     return str(path)
+
+
+def save_samples(path, values):
+    """A sample column with the six header lines that sample files carry."""
+    lines = ["# gamma-lab samples v1", "# seed=0", "# m=", f"# n={values.size}",
+             "# family=", "# provenance=test", "value"]
+    path.write_text("\n".join(lines + [repr(float(v)) for v in values]) + "\n")
 
 
 BASE_CHAIN = {
@@ -339,7 +345,7 @@ def test_cli_distance_narrow_law_passes_the_mass_check(tmp_path):
 def test_cli_distance_samples_and_poly(tmp_path):
     rng = np.random.default_rng(0)
     sfile = tmp_path / "a.samples"
-    save_samples(sfile, rng.standard_normal(20_000), seed=0, provenance="test")
+    save_samples(sfile, rng.standard_normal(20_000))
     qfile = tmp_path / "q.json"
     qfile.write_text(Polynomial.variable(1, 1).to_json())
     out = tmp_path / "d.csv"
@@ -357,8 +363,7 @@ def test_cli_distance_samples_and_poly(tmp_path):
 def test_cli_distance_sample_file_seed_header_is_not_read(tmp_path):
     # The "# seed=" header of a sample file is a note: its value, even one
     # that is not a number, leaves the distance unchanged.
-    save_samples(tmp_path / "s.samples", np.random.default_rng(0).standard_normal(2_000),
-                 seed=0, provenance="test")
+    save_samples(tmp_path / "s.samples", np.random.default_rng(0).standard_normal(2_000))
     lines = tmp_path.joinpath("s.samples").read_text().splitlines(keepends=True)
     csvs = {}
     for name, seed_line in {"odd": "# seed=abc\n", "none": ""}.items():

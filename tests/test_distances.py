@@ -78,6 +78,22 @@ def test_tv_identical_laws_analytic():
     assert total_variation(u, u).estimate == pytest.approx(0.0, abs=1e-9)
 
 
+def test_tv_equal_laws_integrate_one_piece(monkeypatch):
+    # f - g is zero at every grid point: no point is a crossing, so [0, pi]
+    # is one piece, not 128 n + 1 of them.
+    law = AnalyticLaw.cos2(1083)
+    quad, calls = distances._quad, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 2:
+            pytest.fail("more than 2 quadratures for two equal laws")
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(distances, "_quad", counted)
+    assert total_variation(law, law).estimate == 0.0
+
+
 def test_tv_equal_law_empirical_small():
     a, b = gaussian_samples(1_000_000, 7), gaussian_samples(1_000_000, 8)
     report = total_variation(a, b)

@@ -236,7 +236,7 @@ def test_optimizer_against_closed_form_optimum():
     # alpha/eps floor, an edge.
     r = optimize_bound(0.0, 1.0, 1, 1.0)
     assert closed_form_optimum(0.0, 1.0, 1, 1.0)[0] == 0.0 < r.total
-    assert r.trace["at_grid_edge"]
+    assert r.at_grid_edge
 
 
 def test_closed_form_optimum_matches_dense_search():
