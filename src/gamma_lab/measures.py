@@ -274,14 +274,35 @@ def expectation(p: Polynomial, mu: ProductMeasure) -> Coef:
         raise DimensionMismatchError(
             f"polynomial dimension {p.dim} != measure dimension {mu.dim}"
         )
-    exact = p.exact and mu.family.exact
-    total: Coef = Fraction(0) if exact else 0.0
     # Each power's moment, looked up once per call rather than once per factor
     # through raw_moment's cache, which hashes the family every time.
+    if p.exact and mu.family.exact:
+        # p's integer numerators times the moments' numerators, summed per
+        # product of the moments' denominators; one Fraction at the end.
+        ratios: dict[int, tuple[int, int]] = {}
+        sums: dict[int, int] = {}
+        den, nums = p.integer_form()
+        for mono, term in nums.items():
+            term_den = 1
+            for _, power in mono:
+                ratio = ratios.get(power)
+                if ratio is None:
+                    ratio = raw_moment(mu.family, power).as_integer_ratio()
+                    ratios[power] = ratio
+                m_num, m_den = ratio
+                if not m_num:
+                    break
+                term *= m_num
+                term_den *= m_den
+            else:
+                sums[term_den] = sums.get(term_den, 0) + term
+        common = math.lcm(*sums)
+        return Fraction(sum(s * (common // d) for d, s in sums.items()), common * den)
     moments: dict[int, Coef] = {}
+    total = 0.0
     try:
         for mono, coef in p.sorted_terms():
-            term = coef if exact else float(coef)
+            term = float(coef)
             for _, power in mono:
                 m = moments.get(power)
                 if m is None:
@@ -289,7 +310,7 @@ def expectation(p: Polynomial, mu: ProductMeasure) -> Coef:
                 if m == 0:
                     term = 0
                     break
-                term = term * (m if exact else float(m))
+                term = term * float(m)
             total = total + term
     except OverflowError:  # an exact coefficient or moment beyond float range
         raise PreconditionError(
@@ -343,6 +364,8 @@ def basis(family: MeasureFamily, i: int) -> BasisPolynomial:
         raise PreconditionError("basis index must be >= 0")
     with _BASIS_LOCK:
         chain = _BASIS_CACHE.setdefault(family, [])
+        if len(chain) > i:
+            return chain[i]
         mu1 = ProductMeasure(family, 1)
         x = Polynomial.variable(1, 1, exact=family.exact)
         if not chain:

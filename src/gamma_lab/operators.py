@@ -29,6 +29,7 @@ surfaced in the Poincaré report as ``lambda1_alt`` but never used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -265,22 +266,38 @@ def spectral_decompose(op: DiffusionOperator, f: Polynomial) -> SpectralDecompos
     exact = _common_exact(op, f)
     work = f if exact == f.exact else f.to_double()
 
-    # Tensor-basis coefficients, accumulated sparsely: index -> coefficient.
-    coeffs: dict[tuple[tuple[int, int], ...], Coef] = {}
-    for mono, coef in work.sorted_terms():
+    # One row per monomial: its coefficient and, per variable, the expansion
+    # of its power.  In exact mode the coefficient is f's numerator and each
+    # expansion is brought to integers over its lcm denominator, which the
+    # row's denominator collects.
+    den, terms = work.integer_form() if exact else (1, work.terms)
+    rows = []
+    for mono, coef in sorted(terms.items()):
         per_var = []
+        row_den = 1
         for var, power in mono:
             expansion = monomial_in_basis(family, power)
-            per_var.append([(var, i, c) for i, c in expansion])
-        if not per_var:
-            key: tuple[tuple[int, int], ...] = ()
-            coeffs[key] = coeffs.get(key, 0) + coef
-            continue
+            if exact:
+                lcm = math.lcm(*(c.denominator for _, c in expansion))
+                row_den *= lcm
+                per_var.append([(var, i, c.numerator * (lcm // c.denominator))
+                                for i, c in expansion])
+            else:
+                per_var.append([(var, i, float(c)) for i, c in expansion])
+        rows.append((coef, row_den, per_var))
+    # Every row over one common denominator: exact sums are integer sums.
+    common = math.lcm(*(row_den for _, row_den, _ in rows))
+
+    # Tensor-basis coefficients, accumulated sparsely: index -> coefficient.
+    coeffs: dict[tuple[tuple[int, int], ...], Coef] = {}
+    for coef, row_den, per_var in rows:
+        if exact:
+            coef *= common // row_den
         for combo in iter_product(*per_var):
             key = tuple((var, i) for var, i, _ in combo if i > 0)
             c = coef
             for _, _, ci in combo:
-                c = c * (ci if exact else float(ci))
+                c = c * ci
             if c != 0:
                 coeffs[key] = coeffs.get(key, 0) + c
 
@@ -292,7 +309,7 @@ def spectral_decompose(op: DiffusionOperator, f: Polynomial) -> SpectralDecompos
         lam = eigenvalue(family, tuple(i for _, i in key))
         if not exact:
             lam = _match_float_eigenvalue(groups, float(lam))
-        term = Polynomial.constant(c if exact else float(c), op.dim, exact)
+        term = Polynomial.constant(Fraction(c, common * den) if exact else c, op.dim, exact)
         for var, i in key:
             bp = basis(family, i).poly
             term = term * (bp if exact else bp.to_double()).embed(var, op.dim)

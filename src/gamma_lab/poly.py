@@ -10,9 +10,9 @@ explicitly.
 
 Two coefficient modes exist and are tracked by the ``exact`` flag:
 
-* exact mode -- coefficients are ``fractions.Fraction``; all ring
-  operations, derivatives and moment computations are exact, which is what
-  the symbolic operator identities rely on;
+* exact mode -- coefficients are rationals, read as ``fractions.Fraction``;
+  all ring operations, derivatives and moment computations are exact, which
+  is what the symbolic operator identities rely on;
 * double mode -- coefficients are ``float``; intended for sampling-scale
   work in hundreds of variables where exact arithmetic is too slow.
 
@@ -20,12 +20,19 @@ Mixing an exact and a double operand yields a double result.  In double
 mode only coefficients that are exactly 0.0 are pruned; there is no epsilon
 threshold, so degrees never change silently.
 
-The kernel relies on one invariant: an exact polynomial stores only
-``Fraction`` coefficients and a double one only ``float`` coefficients.
-Same-mode ring operations therefore read an operand's term map as it is and
-never re-coerce a coefficient; only the exact operand of a mixed operation
-is converted, by :meth:`Polynomial._coefs`.  A sum that reaches zero is
-deleted where it arises, so every stored term map is already free of zeros.
+An exact polynomial is stored as integer numerators over one positive
+denominator ``den``: the coefficient of a monomial is ``n / den``.  Its
+normal form has gcd(den, every numerator) = 1 (the zero polynomial has
+den = 1), so it is canonical and two exact polynomials are equal exactly
+when their denominators and numerator maps are.  Ring operations multiply
+and add Python ints: a product multiplies the denominators, a sum rescales
+to their lcm, and each result gets one gcd pass.  A ``Fraction`` is built
+only when a caller reads a coefficient through :attr:`Polynomial.terms`.
+A double polynomial stores ``float`` coefficients.  Same-mode operations
+read an operand's term map as it is; only the exact operand of a mixed
+operation is converted, to the correctly rounded float ``n / den``, by
+:meth:`Polynomial._coefs`.  A sum that reaches zero is deleted where it
+arises, so every stored term map is already free of zeros.
 
 Polynomials are immutable after construction and safe to share between
 threads.  Iteration over terms is always in sorted monomial order, which
@@ -35,8 +42,11 @@ keeps float accumulation deterministic.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Union
 
 import numpy as np
 
@@ -85,24 +95,54 @@ def _mono_degree(m: Mono) -> int:
     return sum(p for _, p in m)
 
 
-def _add_terms(out: dict[Mono, Coef], terms: Mapping[Mono, Coef]) -> None:
-    """Add a term map into ``out`` in its order; a sum reaching zero is deleted."""
-    for m, c in terms.items():
+def _add_terms(out: dict[Mono, Coef], items: Iterable[tuple[Mono, Coef]]) -> None:
+    """Add (monomial, coefficient) pairs into ``out`` in their order; a
+    coefficient or sum that is zero is deleted, never kept."""
+    for m, c in items:
         s = out.get(m)
-        if s is None:
+        if s is not None:
+            c = s + c
+        if c:
             out[m] = c
-        else:
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
+        elif s is not None:
+            del out[m]
+
+
+def _rescaled(nums: Mapping[Mono, int], k: int) -> dict[Mono, int]:
+    """A new numerator map, each numerator times ``k``."""
+    return dict(nums) if k == 1 else {m: n * k for m, n in nums.items()}
+
+
+class _ExactTerms(Mapping):
+    """Read-only view of an exact term map.
+
+    A coefficient is built as ``Fraction(n, den)`` when it is read; keys,
+    length and membership build none.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: Mapping[Mono, int], den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, mono: Mono) -> Fraction:
+        return Fraction(self._nums[mono], self._den)
+
+    def __iter__(self) -> Iterator[Mono]:
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __contains__(self, mono) -> bool:
+        return mono in self._nums
 
 
 class Polynomial:
     """Immutable sparse polynomial over x1..x{dim}."""
 
-    __slots__ = ("dim", "exact", "_terms")
+    __slots__ = ("dim", "exact", "_terms", "_den")
 
     def __init__(
         self,
@@ -116,14 +156,22 @@ class Polynomial:
         self.exact = bool(exact)
         clean: dict[Mono, Coef] = {}
         if terms:
-            for mono, coef in terms.items():
-                c = self._coerce(coef)
-                if c != 0:
-                    clean[_mono(mono, dim)] = c
+            # Keys naming one monomial add up, in input order.
+            _add_terms(clean, (
+                (_mono(mono, dim), self._coerce(coef)) for mono, coef in terms.items()
+            ))
+        den = 1
+        if self.exact:
+            den = math.lcm(*(c.denominator for c in clean.values()))
+            clean = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
         self._terms = clean
+        self._den = den
 
     def _coerce(self, value) -> Coef:
+        """An exact coefficient as an int or Fraction, a double one as float."""
         if self.exact:
+            if isinstance(value, (int, Fraction)):
+                return value
             if isinstance(value, float):
                 raise PreconditionError(
                     "float coefficient in exact mode; use to_double() first"
@@ -157,22 +205,42 @@ class Polynomial:
         double; an exact part of a double sum is converted as ``+`` does.
         """
         total = cls.zero(dim, exact)
+        out: dict[Mono, Coef] = {}
+        den = 1
         for part in parts:
             total._check_dim(part)
             if part.exact and not exact:
                 part = part.to_double()
-            _add_terms(total._terms, part._terms)
-        return total
+            terms = part._terms
+            if exact and part._den != den:
+                # The running sum and the part over the lcm of their denominators.
+                common = math.lcm(den, part._den)
+                if common != den:
+                    k = common // den
+                    for m in out:
+                        out[m] *= k
+                    den = common
+                terms = _rescaled(terms, den // part._den)
+            _add_terms(out, terms.items())
+        return total._wrap(out, exact, den)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Mono, Coef]:
-        """Read-only view of the term map (do not mutate)."""
-        return self._terms
+        """Read-only view of the term map; exact coefficients read as Fraction."""
+        if self.exact:
+            return _ExactTerms(self._terms, self._den)
+        return MappingProxyType(self._terms)
 
     def sorted_terms(self) -> list[tuple[Mono, Coef]]:
-        return sorted(self._terms.items())
+        return sorted(self.terms.items())
+
+    def integer_form(self) -> tuple[int, Mapping[Mono, int]]:
+        """(den, numerators) of an exact polynomial: each coefficient is n / den."""
+        if not self.exact:
+            raise PreconditionError("integer_form() needs an exact polynomial")
+        return self._den, MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -204,12 +272,14 @@ class Polynomial:
 
     def _coefs(self, exact: bool) -> Mapping[Mono, Coef]:
         """The term map read in a result mode: as stored when the modes
-        match, else each exact coefficient converted to float (a tiny one
-        to 0.0, which the caller prunes)."""
+        match (numerators over ``_den`` in exact mode), else each exact
+        coefficient as the float n / den (a tiny one as 0.0, which the caller
+        prunes)."""
         if self.exact == exact:
             return self._terms
+        den = self._den
         try:
-            return {m: float(c) for m, c in self._terms.items()}
+            return {m: n / den for m, n in self._terms.items()}
         except OverflowError:
             raise PreconditionError("exact coefficient beyond float range") from None
 
@@ -221,17 +291,21 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        exact = self._result_mode(other)
-        out = dict(self._coefs(exact))
-        _add_terms(out, other._coefs(exact))
+        if self._result_mode(other):
+            den = math.lcm(self._den, other._den)
+            out = _rescaled(self._terms, den // self._den)
+            _add_terms(out, _rescaled(other._terms, den // other._den).items())
+            return self._wrap(out, True, den)
+        out = dict(self._coefs(False))
+        _add_terms(out, other._coefs(False).items())
         if self.exact != other.exact:  # prune conversions that underflowed to 0.0
             out = {m: c for m, c in out.items() if c}
-        return self._wrap(out, exact)
+        return self._wrap(out, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return self._wrap({m: -c for m, c in self._terms.items()}, self.exact)
+        return self._wrap({m: -c for m, c in self._terms.items()}, self.exact, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-other)
@@ -242,12 +316,20 @@ class Polynomial:
     def scale(self, factor) -> "Polynomial":
         """Multiply by a scalar; a float factor demotes to double mode."""
         exact = self.exact and not isinstance(factor, float)
-        f = Fraction(factor) if exact else float(factor)
+        if exact:
+            f = factor if isinstance(factor, (int, Fraction)) else Fraction(factor)
+            if f == 0:
+                return Polynomial.zero(self.dim, True)
+            fn = f.numerator
+            return self._wrap(
+                {m: n * fn for m, n in self._terms.items()}, True, self._den * f.denominator
+            )
+        f = float(factor)
         if f == 0:
-            return Polynomial.zero(self.dim, exact)
+            return Polynomial.zero(self.dim, False)
         # A double product can underflow to zero.
-        scaled = ((m, c * f) for m, c in self._coefs(exact).items())
-        return self._wrap({m: c for m, c in scaled if c}, exact)
+        scaled = ((m, c * f) for m, c in self._coefs(False).items())
+        return self._wrap({m: c for m, c in scaled if c}, False)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, float)):
@@ -267,7 +349,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return self._wrap(out, exact)
+        return self._wrap(out, exact, self._den * other._den if exact else 1)
 
     __rmul__ = __mul__
 
@@ -283,16 +365,23 @@ class Polynomial:
             k >>= 1
         return result
 
-    def _wrap(self, terms: dict[Mono, Coef], exact: bool) -> "Polynomial":
+    def _wrap(self, terms: dict[Mono, Coef], exact: bool, den: int = 1) -> "Polynomial":
         """A polynomial of this dimension that takes ``terms`` as its term map.
 
-        ``terms`` must already hold only coefficients of the given mode and
-        no zero.
+        ``terms`` must hold no zero: floats in double mode (``den`` 1),
+        integer numerators over ``den`` > 0 in exact mode, which one gcd pass
+        brings to the normal form.
         """
+        if exact:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: n // g for m, n in terms.items()}
+                den //= g
         p = Polynomial.__new__(Polynomial)
         p.dim = self.dim
         p.exact = exact
         p._terms = terms
+        p._den = den
         return p
 
     # -- calculus ----------------------------------------------------------
@@ -309,7 +398,7 @@ class Polynomial:
                     lower = ((i, p - 1),) if p > 1 else ()
                     out[m[:j] + lower + m[j + 1 :]] = c * p
                     break
-        return self._wrap(out, self.exact)
+        return self._wrap(out, self.exact, self._den)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute ``inner`` for the single variable of this polynomial.
@@ -334,16 +423,16 @@ class Polynomial:
         return result
 
     def _coeff_map(self) -> dict[int, Coef]:
-        return {m[0][1] if m else 0: c for m, c in self._terms.items()}
+        return {m[0][1] if m else 0: c for m, c in self.terms.items()}
 
     def embed(self, var: int, dim: int) -> "Polynomial":
         """Rename the single variable of a univariate polynomial to x_var in R^dim."""
         if self.dim != 1:
             raise PreconditionError("embed() requires a univariate polynomial")
-        out = {}
-        for m, c in self._terms.items():
-            out[((var, m[0][1]),) if m else _CONST] = c
-        return Polynomial(dim, out, self.exact)
+        # Renaming the variable keeps every coefficient, and so the normal form.
+        out = {_mono(((var, m[0][1]),), dim) if m else _CONST: c
+               for m, c in self._terms.items()}
+        return Polynomial.zero(dim, self.exact)._wrap(out, self.exact, self._den)
 
     # -- evaluation --------------------------------------------------------
 
@@ -377,9 +466,10 @@ class Polynomial:
         n = x.shape[0]
         out = np.zeros(n)
         tmp = np.empty(n)
-        for m, c in self.sorted_terms():
+        exact, den = self.exact, self._den
+        for m, c in sorted(self._terms.items()):
             try:
-                fc = float(c)
+                fc = c / den if exact else c
             except OverflowError:  # an exact coefficient beyond float range
                 raise PreconditionError(
                     f"coefficient of monomial {m} is beyond float range"
@@ -416,10 +506,13 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        if self.exact and other.exact:  # normal forms: compare (den, numerators)
+            return (self.dim == other.dim and self._den == other._den
+                    and self._terms == other._terms)
+        return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self._terms.items())))
+        return hash((self.dim, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -1,5 +1,6 @@
 """Exact sparse polynomial arithmetic."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gamma_lab.errors import DimensionMismatchError, PreconditionError
+from gamma_lab.measures import ProductMeasure, beta, expectation, gamma, gaussian, raw_moment
 from gamma_lab.poly import Polynomial, variables
 
 
@@ -206,3 +208,207 @@ def test_mixed_mode_beyond_float_range_is_a_precondition_error():
     for op in (lambda: huge + d, lambda: d * huge, huge.to_double):
         with pytest.raises(PreconditionError, match="beyond float range"):
             op()
+
+
+# -- constructor and term view ---------------------------------------------
+
+
+@pytest.mark.parametrize("terms, expected", [
+    ({((1, 1), (2, 1)): 1, ((2, 1), (1, 1)): 1}, [(((1, 1), (2, 1)), 2)]),
+    ({((1, 1), (1, 1)): 2, ((1, 2),): 3}, [(((1, 2),), 5)]),
+    ({((1, 0),): 2, (): 3}, [((), 5)]),
+    ({((1, 1),): 2, (): 3, ((1, 1), (2, 0)): -2}, [((), 3)]),
+    # A sum that reaches zero is deleted; the monomial comes back last.
+    ({((1, 1),): 1, (): 2, ((1, 1), (2, 0)): -1, ((1, 0), (1, 1)): 4},
+     [((), 2), (((1, 1),), 4)]),
+])
+@pytest.mark.parametrize("exact", [True, False])
+def test_constructor_adds_keys_naming_one_monomial(terms, expected, exact):
+    p = Polynomial(2, terms, exact)
+    assert list(p.terms.items()) == expected
+    assert p == Polynomial(2, dict(expected), exact)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_terms_is_read_only(exact):
+    p = Polynomial(2, {((1, 1),): 2, (): 1}, exact)
+    with pytest.raises(TypeError):
+        p.terms[()] = 5
+    with pytest.raises(TypeError):
+        del p.terms[()]
+    assert list(p.terms.items()) == [(((1, 1),), 2), ((), 1)]
+
+
+# -- equivalence with a Fraction-dict reference ------------------------------
+# The exact ring as a map from monomials to Fraction, with the kernel's loops
+# and term order: each result must equal it, coefficients and order alike.
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        elif s + c:
+            out[m] = s + c
+        else:
+            del out[m]
+    return out
+
+
+def ref_mono_mul(m1, m2):
+    merged = dict(m1)
+    for v, p in m2:
+        merged[v] = merged.get(v, 0) + p
+    return tuple(sorted(merged.items()))
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = ref_mono_mul(m1, m2)
+            s = c1 * c2 if m not in out else out[m] + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_partial(a, i):
+    out = {}
+    for m, c in a.items():
+        for j, (v, p) in enumerate(m):
+            if v == i:
+                out[m[:j] + (((i, p - 1),) if p > 1 else ()) + m[j + 1:]] = c * p
+    return out
+
+
+def ref_pow(a, k):
+    result, base = {(): Fraction(1)}, a
+    while k:
+        if k & 1:
+            result = ref_mul(result, base)
+        base = ref_mul(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def ref_compose(outer, inner):
+    coeffs = {m[0][1] if m else 0: c for m, c in outer.items()}
+    result = {}
+    for k in range(max(coeffs, default=-1), -1, -1):
+        c = coeffs.get(k, 0)
+        result = ref_add(ref_mul(result, inner), {(): c} if c else {})
+    return result
+
+
+def ref_expectation(a, family):
+    total = Fraction(0)
+    for m, c in a.items():
+        for _, p in m:
+            c *= raw_moment(family, p)
+        total += c
+    return total
+
+
+def items(p):
+    return list(p.terms.items())
+
+
+@given(polynomials(), polynomials(), coefficients, st.integers(1, 3), st.integers(0, 3))
+def test_exact_kernel_matches_fraction_reference(p, q, factor, i, k):
+    a, b = dict(p.terms), dict(q.terms)
+    assert items(p + q) == list(ref_add(a, b).items())
+    assert items(p - q) == list(ref_add(a, ref_neg(b)).items())
+    assert items(-p) == list(ref_neg(a).items())
+    assert items(p * q) == list(ref_mul(a, b).items())
+    assert items(p.scale(factor)) == (
+        [] if factor == 0 else [(m, c * factor) for m, c in a.items()])
+    assert items(p.partial(i)) == list(ref_partial(a, i).items())
+    assert items(p**k) == list(ref_pow(a, k).items())
+    assert items(p.to_double()) == [(m, float(c)) for m, c in a.items()]
+    for family in (gaussian(), gamma(Fraction(5, 2)), beta(2, 3)):
+        assert expectation(p, ProductMeasure(family, 3)) == ref_expectation(a, family)
+
+
+@given(polynomials(dim=1), polynomials(), st.integers(1, 3))
+def test_univariate_kernel_matches_fraction_reference(phi, q, var):
+    a = dict(phi.terms)
+    assert items(phi.compose(q)) == list(ref_compose(a, dict(q.terms)).items())
+    assert items(phi.embed(var, 3)) == [
+        (((var, m[0][1]),) if m else (), c) for m, c in a.items()]
+
+
+@given(polynomials())
+def test_equality_and_hash_agree_across_modes(p):
+    d = p.to_double()
+    representable = all(float(c) == c for c in p.terms.values())
+    assert (p == d) is representable and (d == p) is representable
+    if representable:
+        assert hash(p) == hash(d)
+    twin = Polynomial(3, dict(p.terms))
+    assert twin == p and hash(twin) == hash(p)
+    dyadic = p.scale(3)  # the strategy's denominators are 1..4
+    assert dyadic == dyadic.to_double() and hash(dyadic) == hash(dyadic.to_double())
+
+
+# -- the exact kernel builds a Fraction only where a coefficient is read -----
+
+
+@pytest.fixture
+def fraction_builds(monkeypatch):
+    """A one-item list counting calls of Fraction.__new__."""
+    count = [0]
+    build = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return count
+
+
+def twelve_term_polynomial(rng, dim=6, degrees=(4, 4, 3, 3, 3, 2, 2, 2, 2, 1, 1, 0)):
+    terms = {}
+    for degree in degrees:
+        while True:
+            exps = [0] * dim
+            for _ in range(degree):
+                exps[rng.randrange(dim)] += 1
+            mono = tuple((v + 1, e) for v, e in enumerate(exps) if e)
+            if mono not in terms:
+                break
+        terms[mono] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+    return Polynomial(dim, terms)
+
+
+def test_exact_ring_operations_build_no_fraction(fraction_builds):
+    rng = random.Random(5)
+    p, q = twelve_term_polynomial(rng), twelve_term_polynomial(rng)
+    fraction_builds[0] = 0
+    product = p * q
+    assert fraction_builds[0] == 0
+    p + q, p - q, -p, p.partial(1), product.partial(2)
+    assert len(p.terms) == 12 and len(product.terms) > 12
+    assert fraction_builds[0] == 0
+
+
+def test_exact_expectation_builds_one_fraction_per_denominator(fraction_builds):
+    rng = random.Random(6)
+    p = twelve_term_polynomial(rng) * twelve_term_polynomial(rng)
+    for family in (gaussian(), gamma(Fraction(5, 2)), beta(2, 3)):
+        mu = ProductMeasure(family, 6)
+        expected = expectation(p, mu)  # fills the moment cache
+        per_term = [ref_expectation({m: c}, family) for m, c in p.terms.items()]
+        denominators = {e.denominator for e in per_term if e}
+        fraction_builds[0] = 0
+        assert expectation(p, mu) == expected
+        assert fraction_builds[0] <= len(denominators) + 1
