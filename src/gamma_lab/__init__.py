@@ -17,7 +17,6 @@ from .errors import (
 from .measures import (
     BasisPolynomial,
     MeasureFamily,
-    ProductMeasure,
     basis,
     beta,
     expectation,

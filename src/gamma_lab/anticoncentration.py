@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .measures import ProductMeasure, expectation, finite_float, functional_values
+from .measures import MeasureFamily, expectation, finite_float, functional_values
 from .operators import DiffusionOperator, carre_du_champ
 from .poly import Polynomial
 
@@ -52,7 +52,6 @@ class SmallBallCurve:
     probs: np.ndarray
     stderrs: np.ndarray
     n: int
-    l2_norm: float  # sqrt(E Q^2), exact moment engine
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,9 @@ class CWReport:
 
 
 def _ball_probs(
-    q: Polynomial, mu: ProductMeasure, alphas: np.ndarray, n: int, seed: int, *labels
+    q: Polynomial, family: MeasureFamily, alphas: np.ndarray, n: int, seed: int, *labels
 ) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.sort(np.abs(functional_values(q, mu, n, seed, *labels)))
+    vals = np.sort(np.abs(functional_values(q, family, n, seed, *labels)))
     counts = np.searchsorted(vals, alphas, side="right")
     probs = counts / n
     stderrs = np.sqrt(probs * (1 - probs) / n)
@@ -83,52 +82,50 @@ def _check_alphas(alphas) -> np.ndarray:
 
 
 def small_ball(
-    q: Polynomial, mu: ProductMeasure, alphas, n: int, seed: int
+    q: Polynomial, family: MeasureFamily, alphas, n: int, seed: int
 ) -> SmallBallCurve:
-    """Estimate mu{|Q| <= alpha} with binomial standard errors attached."""
+    """Estimate mu{|Q| <= alpha} under ``family``^q.dim, with binomial standard errors."""
     alphas = _check_alphas(alphas)
     degree = q.degree()
     if degree is None or degree < 1:
         raise PreconditionError("small_ball requires a nonconstant polynomial")
-    l2 = math.sqrt(finite_float(expectation(q * q, mu), "E[Q^2]"))
-    probs, stderrs = _ball_probs(q, mu, alphas, n, seed, "small-ball")
-    return SmallBallCurve(alphas, probs, stderrs, n, l2)
+    probs, stderrs = _ball_probs(q, family, alphas, n, seed, "small-ball")
+    return SmallBallCurve(alphas, probs, stderrs, n)
 
 
 def carbery_wright_check(
     q: Polynomial,
-    mu: ProductMeasure,
+    family: MeasureFamily,
     alphas,
     n: int,
     seed: int,
     stability_factor: int | None = 10,
 ) -> CWReport:
-    """Ratio curve and fitted c_hat for the small-ball inequality.
+    """Ratio curve and fitted c_hat for the small-ball inequality under
+    ``family``^q.dim.
 
     ``stability_factor`` triggers a second, larger run whose c_hat must stay
     within a factor 2 of the first (``stable``); pass None to skip it.
     """
     alphas = _check_alphas(alphas)
-    e_q2 = expectation(q * q, mu)
+    e_q2 = expectation(q * q, family)
     if e_q2 <= 0:
         raise PreconditionError(
             "degenerate input: E[Q^2] = 0, the inequality is void"
         )
     degree = q.degree()
     k = max(1, degree if degree is not None else 0)
-    e_q2 = finite_float(e_q2, "E[Q^2]")
-    l2 = math.sqrt(e_q2)
-    norm_factor = e_q2 ** (1.0 / (2 * k))
+    norm_factor = finite_float(e_q2, "E[Q^2]") ** (1.0 / (2 * k))
 
-    probs, stderrs = _ball_probs(q, mu, alphas, n, seed, "small-ball")
+    probs, stderrs = _ball_probs(q, family, alphas, n, seed, "small-ball")
     ratios = probs * norm_factor / alphas ** (1.0 / k)
     c_hat = float(ratios.max() / k)
-    curve = SmallBallCurve(alphas, probs, stderrs, n, l2)
+    curve = SmallBallCurve(alphas, probs, stderrs, n)
 
     n_big = c_big = stable = None
     if stability_factor is not None:
         n_big = n * int(stability_factor)
-        probs_big, _ = _ball_probs(q, mu, alphas, n_big, seed, "small-ball-refined")
+        probs_big, _ = _ball_probs(q, family, alphas, n_big, seed, "small-ball-refined")
         ratios_big = probs_big * norm_factor / alphas ** (1.0 / k)
         c_big = float(ratios_big.max() / k)
         if c_hat > 0 and c_big > 0:
@@ -168,19 +165,20 @@ def kappa_envelope(gammas, d: int) -> float:
     return float(kappa)
 
 
-def _gamma_values(q, mu, n, seed) -> np.ndarray:
-    gamma_q = carre_du_champ(DiffusionOperator(mu.family, mu.dim), q)
-    return functional_values(gamma_q, mu, n, seed, "smoothed-indicator")
+def _gamma_values(q, family, n, seed) -> np.ndarray:
+    gamma_q = carre_du_champ(DiffusionOperator(family, q.dim), q)
+    return functional_values(gamma_q, family, n, seed, "smoothed-indicator")
 
 
 def smoothed_indicator_functional(
     q: Polynomial,
-    mu: ProductMeasure,
+    family: MeasureFamily,
     eps,
     n: int,
     seed: int,
 ):
-    """E[ eps / (Gamma(Q) + eps) ] by Monte Carlo, with standard errors.
+    """E[ eps / (Gamma(Q) + eps) ] under ``family``^q.dim by Monte Carlo, with
+    standard errors.
 
     ``eps`` may be a scalar or a grid; a grid shares one sample pool, so the
     estimates are exactly nonincreasing as eps decreases.  Gamma(Q) is
@@ -189,18 +187,18 @@ def smoothed_indicator_functional(
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
     if np.any(eps_arr <= 0):
         raise PreconditionError("eps must be positive")
-    est, se = _smoothed_indicator(_gamma_values(q, mu, n, seed), eps_arr)
+    est, se = _smoothed_indicator(_gamma_values(q, family, n, seed), eps_arr)
     if np.isscalar(eps) or np.ndim(eps) == 0:
         return float(est[0]), float(se[0])
     return est, se
 
 
-def kappa_fit(qs, mu, d: int, n: int = 100_000, seed: int = 0) -> float:
+def kappa_fit(qs, family: MeasureFamily, d: int, n: int = 100_000, seed: int = 0) -> float:
     """Least kappa with functional(eps) <= kappa * eps^(1/(2d+1)) on ``DEFAULT_EPS_GRID``.
 
-    ``qs`` is a sequence of polynomials of common degree bound d; ``mu`` is a
-    matching ProductMeasure or a sequence of them.  The Monte-Carlo margin of
-    ``SE_MARGIN`` standard errors is added before fitting, so the returned
+    ``qs`` is a sequence of polynomials of common degree bound d, each under
+    ``family``^q.dim, so their dimensions may differ.  The Monte-Carlo margin
+    of ``SE_MARGIN`` standard errors is added before fitting, so the returned
     kappa is an upper envelope at that confidence.
     """
     qs = list(qs)
@@ -208,6 +206,4 @@ def kappa_fit(qs, mu, d: int, n: int = 100_000, seed: int = 0) -> float:
         raise PreconditionError("empty polynomial sequence")
     if d < 1:
         raise PreconditionError("degree bound d must be >= 1")
-    mus = list(mu) if isinstance(mu, (list, tuple)) else [mu] * len(qs)
-    gammas = (_gamma_values(q, m, n, seed) for q, m in zip(qs, mus))
-    return kappa_envelope(gammas, d)
+    return kappa_envelope((_gamma_values(q, family, n, seed) for q in qs), d)

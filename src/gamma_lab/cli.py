@@ -63,7 +63,7 @@ from .errors import ConfigError, ConsistencyError, PreconditionError
 from .experiments import (
     CW_HEADER, _read_poly_file, cw_sweep_rows, run_experiment, write_csv,
 )
-from .measures import ProductMeasure, finite_float
+from .measures import finite_float
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .operators import poincare_check as _poincare_check
 from .operators import spectral_decompose
@@ -165,7 +165,7 @@ def _parse_spec(spec: str, seed: int):
                            **{k: opts[k] for k in ("r", "a", "b") if k in opts}}, where)
     n = read_field(opts, "n", "samples", default=100_000, text=where)
     spec_seed = read_field(opts, "seed", default=seed, text=where)
-    return functional_samples(q, ProductMeasure(family, q.dim), n, spec_seed)
+    return functional_samples(q, family, n, spec_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +254,10 @@ def _cmd_cw_check(args) -> int:
 def _cmd_smoothed(args) -> int:
     q = _read_poly(args.poly, None)
     family = parse_family(_family_record(args), _option)
-    mu = ProductMeasure(family, q.dim)
     seed, samples = (read_field(vars(args), key, text=_option) for key in ("seed", "samples"))
     eps = DEFAULT_EPS_GRID if args.eps is None else np.asarray(
         read_field(vars(args), "eps", [float], text=_option))
-    est, se = smoothed_indicator_functional(q, mu, eps, samples, seed)
+    est, se = smoothed_indicator_functional(q, family, eps, samples, seed)
     deg = q.degree() or 1
     ratios = est / eps ** (1.0 / (2 * deg + 1))
     rows = [[e, v, s, r] for e, v, s, r in zip(eps, est, se, ratios)]

@@ -35,7 +35,6 @@ on numpy alone, so importing gamma_lab does not load scipy.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -43,7 +42,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .measures import ProductMeasure, functional_values
+from .measures import MeasureFamily, functional_values
 from .poly import Polynomial
 from .sampling import CHUNK_ROWS
 
@@ -494,10 +493,9 @@ def _window_max_clip(
 
 
 def functional_samples(
-    q: Polynomial, mu: ProductMeasure, n: int, seed: int, *labels
+    q: Polynomial, family: MeasureFamily, n: int, seed: int, *labels
 ) -> SampleSet:
-    """n draws of q(X_1, ..., X_m) under mu (q.dim must equal mu.dim)."""
-    digest = hashlib.sha1(q.to_json().encode()).hexdigest()[:12]
-    values = functional_values(q, mu, n, seed, *labels)
+    """n draws of q(X_1, ..., X_m), m = q.dim, with i.i.d. ``family`` coordinates."""
+    values = functional_values(q, family, n, seed, *labels)
     values.flags.writeable = False  # adopted by the SampleSet, not copied
-    return SampleSet(values, provenance=f"{mu.family.label()};m={mu.dim};poly={digest}")
+    return SampleSet(values, provenance=f"{family.label()};m={q.dim}")

@@ -33,7 +33,6 @@ from .config import (
 )
 from .distances import AnalyticLaw, kolmogorov, total_variation
 from .errors import ConfigError, PreconditionError
-from .measures import ProductMeasure
 from .poly import Polynomial
 from .sampling import derive_seed, ordered_map
 from .tv_bound import SEQUENCES, run_chain_replicate
@@ -173,7 +172,7 @@ def cw_sweep_rows(config: ExperimentConfig, q: Polynomial) -> tuple[list[list], 
     The scenario and the ``cw-check`` command both compute through here.
     """
     report = carbery_wright_check(
-        q, ProductMeasure(config.family, q.dim), np.asarray(config.alphas),
+        q, config.family, np.asarray(config.alphas),
         config.samples, config.seed, stability_factor=config.stability_factor,
     )
     curve = report.curve

@@ -1,7 +1,7 @@
 """Reference measures, exact moment engine, orthogonal bases, samplers.
 
-Three product measures are supported, each the law of i.i.d. copies of a
-single-variable distribution:
+A reference law is a ``MeasureFamily``, one of three single-variable
+distributions:
 
 * ``gaussian`` -- standard normal N(0,1) on the real line;
 * ``gamma(r)`` -- Gamma(r, 1) on [0, inf) with density x^(r-1) e^-x / G(r),
@@ -15,6 +15,11 @@ on which the Jacobi generator (1-x^2) d^2/dx^2 + (b-a-(a+b)x) d/dx is
 self-adjoint with respect to the invariant density above.  The operators
 module enforces this by an adjointness sentinel, so a wrong orientation
 cannot pass silently.
+
+A product measure on R^m is m i.i.d. copies of one family, and m is the
+number of variables of the polynomial at hand: the functions that need one
+take the family and read m from the polynomial.  ``sample``, which has no
+polynomial, takes m as ``dim``.
 
 Raw moments have closed forms in all three cases and are exact rationals
 whenever the family parameters are rational; expectations of polynomials
@@ -66,7 +71,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -74,7 +78,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import PreconditionError
 from .poly import Coef, Polynomial
 from .sampling import BLOCK_ROWS, SLAB_ROWS, chunk_edges, generator, substream
 
@@ -212,18 +216,6 @@ def beta(a, b) -> MeasureFamily:
     return MeasureFamily("beta", a=_as_param(a, "a"), b=_as_param(b, "b"))
 
 
-@dataclass(frozen=True)
-class ProductMeasure:
-    """The law of (X_1, ..., X_m) with i.i.d. coordinates from one family."""
-
-    family: MeasureFamily
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise PreconditionError("product measure dimension must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # Moment engine
 # ---------------------------------------------------------------------------
@@ -268,15 +260,11 @@ def raw_moment(family: MeasureFamily, k: int) -> Coef:
     return total
 
 
-def expectation(p: Polynomial, mu: ProductMeasure) -> Coef:
-    """E[p(X)] under the product measure, by independence factorization."""
-    if p.dim != mu.dim:
-        raise DimensionMismatchError(
-            f"polynomial dimension {p.dim} != measure dimension {mu.dim}"
-        )
+def expectation(p: Polynomial, family: MeasureFamily) -> Coef:
+    """E[p(X)] for X of p.dim i.i.d. ``family`` coordinates, by independence."""
     # Each power's moment, looked up once per call rather than once per factor
     # through raw_moment's cache, which hashes the family every time.
-    if p.exact and mu.family.exact:
+    if p.exact and family.exact:
         # p's integer numerators times the moments' numerators, summed per
         # product of the moments' denominators; one Fraction at the end.
         ratios: dict[int, tuple[int, int]] = {}
@@ -287,7 +275,7 @@ def expectation(p: Polynomial, mu: ProductMeasure) -> Coef:
             for _, power in mono:
                 ratio = ratios.get(power)
                 if ratio is None:
-                    ratio = raw_moment(mu.family, power).as_integer_ratio()
+                    ratio = raw_moment(family, power).as_integer_ratio()
                     ratios[power] = ratio
                 m_num, m_den = ratio
                 if not m_num:
@@ -306,7 +294,7 @@ def expectation(p: Polynomial, mu: ProductMeasure) -> Coef:
             for _, power in mono:
                 m = moments.get(power)
                 if m is None:
-                    m = moments[power] = raw_moment(mu.family, power)
+                    m = moments[power] = raw_moment(family, power)
                 if m == 0:
                     term = 0
                     break
@@ -314,14 +302,15 @@ def expectation(p: Polynomial, mu: ProductMeasure) -> Coef:
             total = total + term
     except OverflowError:  # an exact coefficient or moment beyond float range
         raise PreconditionError(
-            f"E[p] under {mu.family.label()} needs a value beyond float range"
+            f"E[p] under {family.label()} needs a value beyond float range"
         ) from None
     return total
 
 
-def variance(p: Polynomial, mu: ProductMeasure) -> Coef:
-    mean = expectation(p, mu)
-    return expectation(p * p, mu) - mean * mean
+def variance(p: Polynomial, family: MeasureFamily) -> Coef:
+    """Var[p(X)] for X of p.dim i.i.d. ``family`` coordinates."""
+    mean = expectation(p, family)
+    return expectation(p * p, family) - mean * mean
 
 
 def finite_float(value: Coef, what: str) -> float:
@@ -350,40 +339,28 @@ class BasisPolynomial:
     norm2: Coef  # E[poly^2] under the family measure
 
 
-_BASIS_CACHE: dict[MeasureFamily, list[BasisPolynomial]] = {}
-_BASIS_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def basis(family: MeasureFamily, i: int) -> BasisPolynomial:
     """The degree-i monic orthogonal polynomial (Hermite/Laguerre/Jacobi).
 
-    Generated by the moment-based three-term recurrence; exact in rational
-    mode.  ``basis(f, 0)`` is the constant 1.
+    Generated by the moment-based three-term recurrence from the cached
+    degrees i - 1 and i - 2; exact in rational mode.  ``basis(f, 0)`` is the
+    constant 1.
     """
     if i < 0:
         raise PreconditionError("basis index must be >= 0")
-    with _BASIS_LOCK:
-        chain = _BASIS_CACHE.setdefault(family, [])
-        if len(chain) > i:
-            return chain[i]
-        mu1 = ProductMeasure(family, 1)
-        x = Polynomial.variable(1, 1, exact=family.exact)
-        if not chain:
-            one = Polynomial.constant(1, 1, exact=family.exact)
-            chain.append(BasisPolynomial(family, 0, one, raw_moment(family, 0)))
-        while len(chain) <= i:
-            k = len(chain) - 1
-            pk = chain[k].poly
-            nk = chain[k].norm2
-            ak = expectation(x * pk * pk, mu1) / nk
-            nxt = (x - Polynomial.constant(ak, 1, family.exact)) * pk
-            if k > 0:
-                bk = nk / chain[k - 1].norm2
-                nxt = nxt - chain[k - 1].poly.scale(bk)
-            chain.append(
-                BasisPolynomial(family, k + 1, nxt, expectation(nxt * nxt, mu1))
-            )
-        return chain[i]
+    if i == 0:
+        one = Polynomial.constant(1, 1, exact=family.exact)
+        return BasisPolynomial(family, 0, one, raw_moment(family, 0))
+    x = Polynomial.variable(1, 1, exact=family.exact)
+    prev = basis(family, i - 1)
+    pk, nk = prev.poly, prev.norm2
+    ak = expectation(x * pk * pk, family) / nk
+    nxt = (x - Polynomial.constant(ak, 1, family.exact)) * pk
+    if i > 1:
+        before = basis(family, i - 2)
+        nxt = nxt - before.poly.scale(nk / before.norm2)
+    return BasisPolynomial(family, i, nxt, expectation(nxt * nxt, family))
 
 
 @lru_cache(maxsize=None)
@@ -393,12 +370,11 @@ def monomial_in_basis(family: MeasureFamily, k: int) -> tuple[tuple[int, Coef], 
     Returned as ((i, c_i), ...) with zero coefficients dropped; exact via
     moment-engine projections c_i = E[x^k p_i] / E[p_i^2].
     """
-    mu1 = ProductMeasure(family, 1)
     xk = Polynomial.variable(1, 1, family.exact) ** k
     out = []
     for i in range(k + 1):
         bp = basis(family, i)
-        c = expectation(xk * bp.poly, mu1) / bp.norm2
+        c = expectation(xk * bp.poly, family) / bp.norm2
         if c != 0:
             out.append((i, c))
     return tuple(out)
@@ -496,30 +472,32 @@ def _draw_blocks(family: MeasureFamily, width: int, lo: int, hi: int, rng):
         del buf
 
 
-def _pool_blocks(mu: ProductMeasure, n: int, seed: int, labels) -> Iterator:
+def _pool_blocks(family: MeasureFamily, dim: int, n: int, seed: int, labels) -> Iterator:
     """The (lo, hi, X[lo:hi]) blocks of the ``("vector-samples", *labels)``
     pool, in row order; a bad ``n`` raises here, before the first block."""
-    pool = draw_pool(mu.family, mu.dim, n, substream(seed, "vector-samples", *labels))
+    pool = draw_pool(family, dim, n, substream(seed, "vector-samples", *labels))
     return (block for _, _, blocks in pool for block in blocks)
 
 
-def sample(mu: ProductMeasure, n: int, seed: int, *labels) -> np.ndarray:
-    """n i.i.d. draws of the m-dimensional vector, shape (n, m) float64."""
-    return np.concatenate([x for _, _, x in _pool_blocks(mu, n, seed, labels)])
+def sample(family: MeasureFamily, dim: int, n: int, seed: int, *labels) -> np.ndarray:
+    """n i.i.d. draws of the dim-dimensional vector, shape (n, dim) float64."""
+    if dim < 1:
+        raise PreconditionError("sample dimension must be >= 1")
+    return np.concatenate([x for _, _, x in _pool_blocks(family, dim, n, seed, labels)])
 
 
 def functional_values(
-    q: Polynomial, mu: ProductMeasure, n: int, seed: int, *labels
+    q: Polynomial, family: MeasureFamily, n: int, seed: int, *labels
 ) -> np.ndarray:
-    """q(X) for n draws of X ~ mu, shape (n,), on the pool of ``sample``.
+    """q(X) for n draws of X ~ ``family``^q.dim, shape (n,), on the pool of ``sample``.
 
     A value that overflows to inf or NaN is a ``PreconditionError``.
     """
-    blocks = _pool_blocks(mu, n, seed, labels)
+    blocks = _pool_blocks(family, q.dim, n, seed, labels)
     values = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, x in blocks:
             values[lo:hi] = q.evaluate_batch(x)
     if not np.isfinite(values).all():
-        raise PreconditionError(f"non-finite polynomial value under {mu.family.label()}")
+        raise PreconditionError(f"non-finite polynomial value under {family.label()}")
     return values

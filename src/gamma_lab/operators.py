@@ -12,12 +12,11 @@ with
 The carré du champ of all three is Gamma(f, g) = sum_i A(x_i) d_if d_ig,
 which agrees with the defining combination (L(fg) - f Lg - g Lf)/2 as a
 polynomial identity.  The Dirichlet form is computed both as -int f Lg dmu
-and as int Gamma(f,g) dmu; a disagreement means the generator is not
-self-adjoint for the measure in use and raises ConsistencyError.  That
-sentinel is what pins the Laguerre drift to (r - x): the variant (r+1-x),
-selected by ``drift_shift=1``, is self-adjoint for Gamma(r+1,1) instead and
-trips the sentinel under Gamma(r,1).  It is kept for convention-comparison
-runs only.
+and as int Gamma(f,g) dmu, with mu the operator family's product measure on
+R^dim; a disagreement means the generator is not self-adjoint for that
+measure and raises ConsistencyError.  That sentinel is what pins the
+Laguerre drift to (r - x): the variant (r+1-x) is the gamma(r+1) generator,
+self-adjoint for Gamma(r+1,1) and not for Gamma(r,1).
 
 Eigenstructure: products of monic basis polynomials prod_j p_{i_j}(x_j) are
 eigenfunctions.  The eigenvalue of a single index i is i for the gaussian
@@ -38,7 +37,6 @@ from typing import Mapping
 from .errors import ConsistencyError, DimensionMismatchError, PreconditionError
 from .measures import (
     MeasureFamily,
-    ProductMeasure,
     basis,
     expectation,
     finite_float,
@@ -56,25 +54,14 @@ POINCARE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class DiffusionOperator:
-    """Generator of the reversible diffusion for one family on R^dim.
-
-    ``drift_shift`` perturbs the gamma-family drift to (r + shift - x); any
-    nonzero value breaks self-adjointness w.r.t. Gamma(r,1) on purpose.
-    """
+    """Generator of the reversible diffusion for one family on R^dim."""
 
     family: MeasureFamily
     dim: int
-    drift_shift: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise PreconditionError("operator dimension must be >= 1")
-        if self.drift_shift and self.family.kind != "gamma":
-            raise PreconditionError("drift_shift applies to the gamma family only")
-
-    @property
-    def measure(self) -> ProductMeasure:
-        return ProductMeasure(self.family, self.dim)
 
 
 def _diffusion_coeff(op: DiffusionOperator, i: int, exact: bool) -> Polynomial:
@@ -93,7 +80,7 @@ def _drift_coeff(op: DiffusionOperator, i: int, exact: bool) -> Polynomial:
     if op.family.kind == "gaussian":
         return -x
     if op.family.kind == "gamma":
-        r = op.family.r + op.drift_shift
+        r = op.family.r
         return Polynomial.constant(r if exact else float(r), op.dim, exact) - x
     a, b = op.family.a, op.family.b
     const = (b - a) if exact else float(b) - float(a)
@@ -171,9 +158,8 @@ def dirichlet_energy(
     """
     if g is None:
         g = f
-    mu = op.measure
-    via_gamma = expectation(carre_du_champ(op, f, g), mu)
-    via_l = -expectation(f * apply_generator(op, g), mu)
+    via_gamma = expectation(carre_du_champ(op, f, g), op.family)
+    via_l = -expectation(f * apply_generator(op, g), op.family)
     if isinstance(via_gamma, Fraction) and isinstance(via_l, Fraction):
         mismatch = via_gamma != via_l
     else:
@@ -345,8 +331,7 @@ class PoincareReport:
 
 def poincare_check(op: DiffusionOperator, f: Polynomial) -> PoincareReport:
     """Var(f) <= E(f)/lambda_1, both sides via the moment engine."""
-    mu = op.measure
-    var = variance(f, mu)
+    var = variance(f, op.family)
     energy = dirichlet_energy(op, f)
     lam1 = spectral_gap(op)
     if isinstance(var, Fraction) and isinstance(energy, Fraction) and isinstance(lam1, Fraction):

@@ -65,7 +65,6 @@ from .distances import SampleSet, fortet_mourier, histogram_tv_floor, total_vari
 from .errors import ConsistencyError, DegenerateFunctionalError, PreconditionError
 from .measures import (
     MeasureFamily,
-    ProductMeasure,
     draw_pool,
     expectation,
     finite_float,
@@ -110,17 +109,17 @@ class MomentBudget:
 
 
 def moment_budget(
-    q: Polynomial, mu: ProductMeasure, n: int = 1_000_000, seed: int = 0
+    q: Polynomial, family: MeasureFamily, n: int = 1_000_000, seed: int = 0
 ) -> MomentBudget:
-    """Assemble the budget for one polynomial.
+    """Assemble the budget for one polynomial under ``family``^q.dim.
 
     Polynomial moments come exactly from the moment engine; E|LQ| is not a
     polynomial moment and is estimated by Monte Carlo on n samples.  A
     non-finite E[Gamma(Gamma(Q))] raises PreconditionError.
     """
-    _, lq, e_gg = _gamma_parts(DiffusionOperator(mu.family, mu.dim), q, mu, "Q")
-    var_q = float(variance(q, mu))
-    vals = np.abs(functional_values(lq, mu, n, seed, "abs-moment"))
+    _, lq, e_gg = _gamma_parts(DiffusionOperator(family, q.dim), q, "Q")
+    var_q = float(variance(q, family))
+    vals = np.abs(functional_values(lq, family, n, seed, "abs-moment"))
     return MomentBudget(
         e_gamma_gamma=e_gg,
         e_abs_lq=float(vals.mean()),
@@ -130,8 +129,8 @@ def moment_budget(
     )
 
 
-def hypercontractivity_ratio(q: Polynomial, mu: ProductMeasure) -> float:
-    """int Q^4 dmu / (int Q^2 dmu)^2, exact via the moment engine.
+def hypercontractivity_ratio(q: Polynomial, family: MeasureFamily) -> float:
+    """int Q^4 dmu / (int Q^2 dmu)^2 for mu = ``family``^q.dim, exact.
 
     Bounded uniformly over multilinear polynomials of a fixed degree; the
     ratio is what the chain experiment tracks for moment-growth stability.
@@ -139,10 +138,10 @@ def hypercontractivity_ratio(q: Polynomial, mu: ProductMeasure) -> float:
     if not q.is_multilinear():
         raise PreconditionError("hypercontractivity ratio requires a multilinear Q")
     q2 = q * q
-    e2 = expectation(q2, mu)
+    e2 = expectation(q2, family)
     if e2 <= 0:
         raise PreconditionError("degenerate input: E[Q^2] = 0")
-    e4 = expectation(q2 * q2, mu)
+    e4 = expectation(q2 * q2, family)
     if isinstance(e2, Fraction) and isinstance(e4, Fraction):
         return float(e4 / (e2 * e2))
     return float(e4) / float(e2) ** 2
@@ -330,10 +329,10 @@ class _Chain:
     e_gamma_gammas: tuple  # E[Gamma(Gamma(Q))] per element, exact moment engine
 
 
-def _gamma_parts(op: DiffusionOperator, q: Polynomial, mu: ProductMeasure, what: str):
+def _gamma_parts(op: DiffusionOperator, q: Polynomial, what: str):
     """Gamma(Q), LQ and the finite E[Gamma(Gamma(Q))] of one polynomial."""
     gamma_q = carre_du_champ(op, q)
-    e_gg = finite_float(expectation(carre_du_champ(op, gamma_q), mu),
+    e_gg = finite_float(expectation(carre_du_champ(op, gamma_q), op.family),
                         f"E[Gamma(Gamma(Q))] of {what}")
     return gamma_q, apply_generator(op, q), e_gg
 
@@ -359,9 +358,8 @@ def _prepare_chain(builder, family: MeasureFamily, n_grid, n_samples: int) -> _C
             raise PreconditionError(f"chain element n={n} is the zero polynomial")
         degrees.append(deg)
 
-    mus = [ProductMeasure(family, m) for m in dims]
     last = elements[-1]
-    if finite_float(variance(last, mus[-1]), "variance of the chain limit proxy") <= 0.0:
+    if finite_float(variance(last, family), "variance of the chain limit proxy") <= 0.0:
         raise DegenerateFunctionalError(
             "chain limit proxy has zero variance: its law is a point mass, "
             "not absolutely continuous (variance criterion); refusing the "
@@ -370,8 +368,8 @@ def _prepare_chain(builder, family: MeasureFamily, n_grid, n_samples: int) -> _C
 
     op_cache = {m: DiffusionOperator(family, m) for m in set(dims)}
     gammas, lqs, e_gamma_gammas = zip(*(
-        _gamma_parts(op_cache[m], q, mu, f"chain element n={n}")
-        for n, q, m, mu in zip(n_grid, elements, dims, mus)
+        _gamma_parts(op_cache[m], q, f"chain element n={n}")
+        for n, q, m in zip(n_grid, elements, dims)
     ))
     return _Chain(n_grid, elements, dims, max(degrees), gammas, lqs, e_gamma_gammas)
 

@@ -19,7 +19,7 @@ import pytest
 import gamma_lab as gl
 from gamma_lab.anticoncentration import DEFAULT_EPS_GRID
 from gamma_lab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, main
-from gamma_lab.measures import ProductMeasure, basis, expectation
+from gamma_lab.measures import basis, expectation
 from gamma_lab.operators import (
     carre_du_champ_from_definition,
     eigenvalue,
@@ -85,15 +85,14 @@ def test_criterion_01_symbolic_identities():
         fam = FAMILIES[case % len(FAMILIES)]
         dim = rng.randint(1, 4)
         op = gl.DiffusionOperator(fam, dim)
-        mu = ProductMeasure(fam, dim)
         f = rand_poly(rng, dim, 4)
         g = rand_poly(rng, dim, 4)
         phi = rand_poly(rng, 1, 4)
         assert gl.check_diffusion(op, phi, f, g)
         assert gl.carre_du_champ(op, f, g) == carre_du_champ_from_definition(op, f, g)
-        assert expectation(gl.apply_generator(op, f), mu) == 0
-        assert expectation(f * gl.apply_generator(op, g), mu) == expectation(
-            g * gl.apply_generator(op, f), mu
+        assert expectation(gl.apply_generator(op, f), fam) == 0
+        assert expectation(f * gl.apply_generator(op, g), fam) == expectation(
+            g * gl.apply_generator(op, f), fam
         )
         p, lam = rand_eigenfunction(rng, fam, dim)
         assert gl.eigenspace_gamma_identity(op, p, lam)
@@ -110,7 +109,6 @@ def test_criterion_02_eigenstructure():
     for fam in FAMILIES:
         dim = 3
         op = gl.DiffusionOperator(fam, dim)
-        mu = ProductMeasure(fam, dim)
         for i1 in range(6):
             for i2 in range(6 - i1):
                 for i3 in range(6 - i1 - i2):
@@ -129,9 +127,9 @@ def test_criterion_02_eigenstructure():
             f = rand_poly(rng, dim, 5, max_terms=5)
             dec = spectral_decompose(op, f)
             assert dec.reconstruct() == f
-            var = float(gl.variance(f, mu))
+            var = float(gl.variance(f, fam))
             parseval = sum(
-                float(expectation(dec.components[lam] ** 2, mu))
+                float(expectation(dec.components[lam] ** 2, fam))
                 for lam in dec.eigenvalues()
                 if lam != 0
             )
@@ -191,19 +189,18 @@ def test_criterion_04_counterexample_numbers():
 
 def test_criterion_05_carbery_wright():
     started = time.perf_counter()
-    mu1 = ProductMeasure(gl.gaussian(), 1)
+    fam = gl.gaussian()
     alphas = np.logspace(-3, 0, 20)
     rep = gl.carbery_wright_check(
-        Polynomial.variable(1, 1), mu1, alphas, n=1_000_000, seed=2026,
+        Polynomial.variable(1, 1), fam, alphas, n=1_000_000, seed=2026,
         stability_factor=None,
     )
     limit = math.sqrt(2 / math.pi)
     se = np.sqrt(rep.curve.probs * (1 - rep.curve.probs) / rep.curve.n)
     linear_ok = bool(np.all(rep.ratios <= limit + 3 * se / alphas))
 
-    mu2 = ProductMeasure(gl.gaussian(), 2)
     rep2 = gl.carbery_wright_check(
-        x1x2(), mu2, alphas, n=100_000, seed=2027, stability_factor=10,
+        x1x2(), fam, alphas, n=100_000, seed=2027, stability_factor=10,
     )
     elapsed = time.perf_counter() - started
     ok = linear_ok and rep2.stable and elapsed < 60
@@ -216,15 +213,15 @@ def test_criterion_05_carbery_wright():
 
 
 def test_criterion_06_smoothed_functional_shape():
-    mu1 = ProductMeasure(gl.gaussian(), 1)
+    fam = gl.gaussian()
     x = Polynomial.variable(1, 1)
     est, se = gl.smoothed_indicator_functional(
-        x, mu1, DEFAULT_EPS_GRID, n=100_000, seed=6
+        x, fam, DEFAULT_EPS_GRID, n=100_000, seed=6
     )
     expected = DEFAULT_EPS_GRID / (1 + DEFAULT_EPS_GRID)
     matches = bool(np.all(np.abs(est - expected) <= 3 * se + 1e-12))
     below_cube_root = bool(np.all(est <= DEFAULT_EPS_GRID ** (1 / 3)))
-    kappa = gl.kappa_fit([x], mu1, d=1, n=100_000, seed=6)
+    kappa = gl.kappa_fit([x], fam, d=1, n=100_000, seed=6)
     ok = matches and below_cube_root and kappa <= 1.0
     report(6, ok, f"functional = eps/(1+eps) to 3 s.e., <= eps^(1/3); "
                   f"kappa = {kappa:.3f} <= 1")
@@ -234,11 +231,11 @@ def test_criterion_06_smoothed_functional_shape():
 
 
 def test_criterion_07_moment_budget():
-    mu2 = ProductMeasure(gl.gaussian(), 2)
-    budget = gl.moment_budget(x1x2(), mu2, n=1_000_000, seed=7)
+    fam = gl.gaussian()
+    budget = gl.moment_budget(x1x2(), fam, n=1_000_000, seed=7)
     gg_ok = budget.e_gamma_gamma == 8.0
     lq_ok = abs(budget.e_abs_lq - 4 / math.pi) <= 3 * budget.e_abs_lq_se
-    hyper = gl.hypercontractivity_ratio(x1x2(), mu2)
+    hyper = gl.hypercontractivity_ratio(x1x2(), fam)
     ok = gg_ok and lq_ok and hyper == 9.0
     report(7, ok,
            f"E[Gamma(Gamma(x1x2))] = {budget.e_gamma_gamma} (exact 8), "

@@ -19,7 +19,7 @@ from gamma_lab.distances import (
     total_variation,
 )
 from gamma_lab.errors import PreconditionError
-from gamma_lab.measures import ProductMeasure, gaussian
+from gamma_lab.measures import gaussian
 from gamma_lab.poly import Polynomial, variables
 from gamma_lab.sampling import CHUNK_ROWS
 
@@ -211,14 +211,14 @@ def test_grid_dual_matches_linear_program():
 
 def test_functional_samples_standard_normal_law():
     q = Polynomial.variable(1, 1)
-    s = functional_samples(q, ProductMeasure(gaussian(), 1), 200_000, seed=4)
+    s = functional_samples(q, gaussian(), 200_000, seed=4)
     d = kolmogorov(s, AnalyticLaw.gaussian()).estimate
     assert d < KS_CRIT_1PCT / math.sqrt(s.n)
 
 
 def test_functional_samples_constant():
     q = Polynomial.constant(5, dim=2)
-    s = functional_samples(q, ProductMeasure(gaussian(), 2), 1_000, seed=3)
+    s = functional_samples(q, gaussian(), 1_000, seed=3)
     assert np.all(s.values == 5.0)
 
 
@@ -227,16 +227,16 @@ def test_functional_samples_stable_linear_combination():
     dim = 100
     scale = 0.1
     q = Polynomial(dim, {((i, 1),): scale for i in range(1, dim + 1)}, exact=False)
-    s = functional_samples(q, ProductMeasure(gaussian(), dim), 200_000, seed=5)
+    s = functional_samples(q, gaussian(), 200_000, seed=5)
     d = kolmogorov(s, AnalyticLaw.gaussian()).estimate
     assert d < KS_CRIT_1PCT / math.sqrt(s.n)
 
 
 def test_functional_samples_deterministic():
     q = variables(2)[0] * variables(2)[1]
-    mu = ProductMeasure(gaussian(), 2)
-    s1 = functional_samples(q, mu, 10_000, seed=8)
-    s2 = functional_samples(q, mu, 10_000, seed=8)
+    fam = gaussian()
+    s1 = functional_samples(q, fam, 10_000, seed=8)
+    s2 = functional_samples(q, fam, 10_000, seed=8)
     assert np.array_equal(s1.values, s2.values)
 
 

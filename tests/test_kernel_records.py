@@ -70,7 +70,7 @@ def chain_record(family: str, sequence: str) -> dict:
             "gamma": _digest(gq),
             "gamma_gamma": _digest(carre_du_champ(op, gq)),
             "gamma_def": _digest(carre_du_champ_from_definition(op, q)),
-            "e_q2": float(expectation(q * q, op.measure)).hex(),
+            "e_q2": float(expectation(q * q, op.family)).hex(),
         }
     return out
 

@@ -16,7 +16,6 @@ from gamma_lab.measures import (
     BETA_ORDER_MAX,
     GAMMA_SUM_MAX,
     MeasureFamily,
-    ProductMeasure,
     basis,
     beta,
     draw_pool,
@@ -133,38 +132,38 @@ def test_reference_laws_equal_removed_family_methods(record):
 
 def test_expectation_odd_gaussian_vanishes():
     x1, x2 = variables(2)
-    assert expectation(x1 * x2, ProductMeasure(gaussian(), 2)) == 0
+    assert expectation(x1 * x2, gaussian()) == 0
 
 
 def test_expectation_factorizes():
     x1, x2 = variables(2)
-    mu = ProductMeasure(gaussian(), 2)
+    fam = gaussian()
     # oracle: independence factorization E[x1^2 x2^2] = E[x1^2] E[x2^2]
-    assert expectation(x1 * x1 * x2 * x2, mu) == raw_moment(gaussian(), 2) ** 2 == 1
+    assert expectation(x1 * x1 * x2 * x2, fam) == raw_moment(gaussian(), 2) ** 2 == 1
 
 
 def test_expectation_gamma_mean():
     x1 = Polynomial.variable(1, 1)
-    assert expectation(x1, ProductMeasure(gamma(2), 1)) == 2
+    assert expectation(x1, gamma(2)) == 2
 
 
 def test_variance_examples():
-    mu = ProductMeasure(gaussian(), 2)
+    fam = gaussian()
     x1, x2 = variables(2)
-    assert variance(Polynomial.constant(7, 2), mu) == 0
-    assert variance(Polynomial.variable(1, 1), ProductMeasure(gaussian(), 1)) == 1
-    assert variance(x1 * x2 + x1, mu) == 2
+    assert variance(Polynomial.constant(7, 2), fam) == 0
+    assert variance(Polynomial.variable(1, 1), gaussian()) == 1
+    assert variance(x1 * x2 + x1, fam) == 2
 
 
 def test_variance_matches_monte_carlo():
     # oracle: Monte Carlo at 10^6 samples, 3 sigma band
     x1, x2 = variables(2)
     p = x1 * x2 + x1
-    mu = ProductMeasure(gaussian(), 2)
-    vals = p.evaluate_batch(sample(mu, 1_000_000, seed=7))
+    fam = gaussian()
+    vals = p.evaluate_batch(sample(fam, 2, 1_000_000, seed=7))
     mc_var = float(np.var(vals))
     se = math.sqrt(2.0 / vals.size) * mc_var * 3  # rough 3 s.e. for a variance
-    assert abs(mc_var - float(variance(p, mu))) < max(se, 3e-2)
+    assert abs(mc_var - float(variance(p, fam))) < max(se, 3e-2)
 
 
 # -- orthogonal bases ------------------------------------------------------------
@@ -186,7 +185,7 @@ def test_laguerre_degree_one_orthogonal_to_constants():
     for r in (1, 2, 5):
         fam = gamma(r)
         l1 = basis(fam, 1).poly
-        assert expectation(l1, ProductMeasure(fam, 1)) == 0
+        assert expectation(l1, fam) == 0
         x = Polynomial.variable(1, 1)
         assert l1 == x - Polynomial.constant(r, 1)
 
@@ -211,18 +210,17 @@ def test_jacobi_degree_one_centering():
     for a, b in ((1, 1), (2, 2), (2, 3), (5, 2)):
         fam = beta(a, b)
         j1 = basis(fam, 1).poly
-        assert expectation(j1, ProductMeasure(fam, 1)) == 0
+        assert expectation(j1, fam) == 0
         x = Polynomial.variable(1, 1)
         assert j1 == x - Polynomial.constant(Fraction(b - a, a + b), 1)
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_orthogonality_up_to_degree_8(fam):
-    mu = ProductMeasure(fam, 1)
     polys = [basis(fam, i) for i in range(9)]
     for i in range(9):
         for j in range(i):
-            assert expectation(polys[i].poly * polys[j].poly, mu) == 0
+            assert expectation(polys[i].poly * polys[j].poly, fam) == 0
         assert polys[i].norm2 > 0
         assert polys[i].poly.degree() == i
 
@@ -242,23 +240,23 @@ def test_basis_expansion_reproduces_polynomials(fam):
 
 
 def test_sampler_deterministic():
-    mu = ProductMeasure(gamma(2), 3)
-    a = sample(mu, 50_000, seed=123)
-    b = sample(mu, 50_000, seed=123)
+    fam = gamma(2)
+    a = sample(fam, 3, 50_000, seed=123)
+    b = sample(fam, 3, 50_000, seed=123)
     assert np.array_equal(a, b)
-    c = sample(mu, 50_000, seed=124)
+    c = sample(fam, 3, 50_000, seed=124)
     assert not np.array_equal(a, c)
 
 
 def test_gaussian_sample_mean_band():
     # oracle: CLT band 4/sqrt(n) around 0
     n = 1_000_000
-    vals = sample(ProductMeasure(gaussian(), 1), n, seed=5)[:, 0]
+    vals = sample(gaussian(), 1, n, seed=5)[:, 0]
     assert abs(float(vals.mean())) < 4 / math.sqrt(n)
 
 
 def test_beta_uniform_support_and_mean():
-    vals = sample(ProductMeasure(beta(1, 1), 1), 200_000, seed=9)[:, 0]
+    vals = sample(beta(1, 1), 1, 200_000, seed=9)[:, 0]
     assert vals.min() >= -1 and vals.max() <= 1
     assert abs(float(vals.mean())) < 0.01
 
@@ -268,7 +266,7 @@ KS_CRIT_1PCT = 1.6276  # asymptotic Kolmogorov distribution, alpha = 0.01
 
 def _ks_statistic(fam, n, seed):
     """One-sample Kolmogorov-Smirnov statistic of n pooled draws against its CDF."""
-    vals = np.sort(sample(ProductMeasure(fam, 1), n, seed=seed)[:, 0])
+    vals = np.sort(sample(fam, 1, n, seed=seed)[:, 0])
     cdf = np.asarray(reference_laws.cdf(fam, vals), dtype=float)
     hi = np.max(np.arange(1, n + 1) / n - cdf)
     lo = np.max(cdf - np.arange(0, n) / n)
@@ -337,12 +335,12 @@ def test_exact_and_float_families_keep_separate_moments():
 def test_integer_valued_float_parameters_draw_the_same_pool():
     # Dispatch is on the parameter's value, not its type.
     for exact, floating in ((beta(2, 2), beta(2.0, 2.0)), (gamma(2), gamma(2.0))):
-        pools = [sample(ProductMeasure(fam, 3), 5000, seed=12) for fam in (exact, floating)]
+        pools = [sample(fam, 3, 5000, seed=12) for fam in (exact, floating)]
         assert pools[0].tobytes() == pools[1].tobytes()
 
 
 def test_gamma_sampler_matches_scipy_law():
-    vals = sample(ProductMeasure(gamma(2), 1), 200_000, seed=17)[:, 0]
+    vals = sample(gamma(2), 1, 200_000, seed=17)[:, 0]
     stat = stats.kstest(vals, "gamma", args=(2,)).statistic
     assert stat < KS_CRIT_1PCT / math.sqrt(vals.size)
 
@@ -386,13 +384,12 @@ def test_block_draws_equal_one_draw_per_chunk(family, slab):
 
 def test_functional_values_are_the_polynomial_on_the_sample_pool():
     fam = beta(2, 2)
-    mu = ProductMeasure(fam, 3)
     x1, x2, x3 = variables(3, exact=False)
     q = x1 * x2 + x3 * x3 * x3 - 0.5
     n = CHUNK_ROWS + BLOCK_ROWS + 77
-    values = functional_values(q, mu, n, 5, "label")
+    values = functional_values(q, fam, n, 5, "label")
     assert values.shape == (n,)
-    assert np.array_equal(values, q.evaluate_batch(sample(mu, n, 5, "label")))
+    assert np.array_equal(values, q.evaluate_batch(sample(fam, 3, n, 5, "label")))
 
 
 def test_construction_terms_resolve_once_per_family(monkeypatch):

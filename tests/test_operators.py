@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gamma_lab import operators
 from gamma_lab.errors import ConsistencyError, PreconditionError
 from gamma_lab.measures import (
-    ProductMeasure,
     basis,
     beta,
     expectation,
@@ -139,8 +139,7 @@ def test_gamma_nonnegative_on_support():
     rng = random.Random(6)
     for fam in FAMILIES:
         op = DiffusionOperator(fam, 2)
-        mu = ProductMeasure(fam, 2)
-        pts = sample(mu, 100_000, seed=42)
+        pts = sample(fam, 2, 100_000, seed=42)
         for _ in range(5):
             f = random_poly(rng, 2, 3)
             vals = carre_du_champ(op, f).evaluate_batch(pts)
@@ -181,33 +180,37 @@ def test_dirichlet_examples():
         assert e == 1 - raw_moment(fam, 2)
 
 
-def test_dirichlet_sentinel_fires_on_shifted_drift():
+def test_dirichlet_sentinel_fires_on_shifted_drift(monkeypatch):
     # drift (r + 1 - x) is self-adjoint for Gamma(r+1,1), not Gamma(r,1)
-    op = DiffusionOperator(gamma(2), 1, drift_shift=1)
+    def shifted(op, i, exact):
+        x = Polynomial.variable(i, op.dim, exact)
+        return Polynomial.constant(op.family.r + 1, op.dim, exact) - x
+
+    monkeypatch.setattr(operators, "_drift_coeff", shifted)
+    op = DiffusionOperator(gamma(2), 1)
     with pytest.raises(ConsistencyError):
         dirichlet_energy(op, Polynomial.variable(1, 1))
 
 
 def test_shifted_drift_consistent_with_shifted_measure():
-    # same operator, measured against Gamma(r+1,1): routes agree again
-    op = DiffusionOperator(gamma(2), 1, drift_shift=1)
+    # the (r + 1 - x) drift with A = x is the gamma(r+1) generator: measured
+    # against Gamma(r+1,1) the routes agree
+    op = DiffusionOperator(gamma(3), 1)
     f = Polynomial.variable(1, 1)
     lf = apply_generator(op, f)
-    mu3 = ProductMeasure(gamma(3), 1)
-    assert -expectation(f * lf, mu3) == expectation(carre_du_champ(op, f), mu3)
+    assert -expectation(f * lf, gamma(3)) == expectation(carre_du_champ(op, f), gamma(3))
 
 
 def test_generator_integrates_to_zero_and_self_adjoint():
     rng = random.Random(21)
     for fam in FAMILIES:
         op = DiffusionOperator(fam, 3)
-        mu = ProductMeasure(fam, 3)
         for _ in range(10):
             f = random_poly(rng, 3, 4)
             g = random_poly(rng, 3, 4)
-            assert expectation(apply_generator(op, f), mu) == 0
-            assert expectation(f * apply_generator(op, g), mu) == expectation(
-                g * apply_generator(op, f), mu
+            assert expectation(apply_generator(op, f), fam) == 0
+            assert expectation(f * apply_generator(op, g), fam) == expectation(
+                g * apply_generator(op, f), fam
             )
 
 
@@ -255,21 +258,20 @@ def test_decompose_sums_and_parseval():
     rng = random.Random(31)
     for fam in FAMILIES:
         op = DiffusionOperator(fam, 3)
-        mu = ProductMeasure(fam, 3)
         for _ in range(5):
             f = random_poly(rng, 3, 4)
             dec = spectral_decompose(op, f)
             assert dec.reconstruct() == f
-            var = variance(f, mu)
+            var = variance(f, fam)
             parseval = sum(
-                expectation(dec.components[lam] ** 2, mu)
+                expectation(dec.components[lam] ** 2, fam)
                 for lam in dec.eigenvalues()
                 if lam != 0
             )
             assert float(var) == pytest.approx(float(parseval), abs=1e-10)
             energy = dirichlet_energy(op, f)
             via_spectrum = sum(
-                lam * expectation(dec.components[lam] ** 2, mu)
+                lam * expectation(dec.components[lam] ** 2, fam)
                 for lam in dec.eigenvalues()
             )
             assert float(energy) == pytest.approx(float(via_spectrum), abs=1e-10)
@@ -289,12 +291,11 @@ def test_generator_operator_norm_on_low_eigenspaces():
     d = 2
     for fam in FAMILIES:
         op = DiffusionOperator(fam, 2)
-        mu = ProductMeasure(fam, 2)
         lam = eigenvalue_1d(op.family, 2 * d)
         for _ in range(10):
             f = random_poly(rng, 2, 2 * d)
             lf = apply_generator(op, f)
-            assert expectation(lf * lf, mu) <= lam * lam * expectation(f * f, mu)
+            assert expectation(lf * lf, fam) <= lam * lam * expectation(f * f, fam)
 
 
 # -- Poincaré ---------------------------------------------------------------------

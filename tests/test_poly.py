@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gamma_lab.errors import DimensionMismatchError, PreconditionError
-from gamma_lab.measures import ProductMeasure, beta, expectation, gamma, gaussian, raw_moment
+from gamma_lab.measures import beta, expectation, gamma, gaussian, raw_moment
 from gamma_lab.poly import Polynomial, variables
 
 
@@ -335,7 +335,7 @@ def test_exact_kernel_matches_fraction_reference(p, q, factor, i, k):
     assert items(p**k) == list(ref_pow(a, k).items())
     assert items(p.to_double()) == [(m, float(c)) for m, c in a.items()]
     for family in (gaussian(), gamma(Fraction(5, 2)), beta(2, 3)):
-        assert expectation(p, ProductMeasure(family, 3)) == ref_expectation(a, family)
+        assert expectation(p, family) == ref_expectation(a, family)
 
 
 @given(polynomials(dim=1), polynomials(), st.integers(1, 3))
@@ -405,10 +405,9 @@ def test_exact_expectation_builds_one_fraction_per_denominator(fraction_builds):
     rng = random.Random(6)
     p = twelve_term_polynomial(rng) * twelve_term_polynomial(rng)
     for family in (gaussian(), gamma(Fraction(5, 2)), beta(2, 3)):
-        mu = ProductMeasure(family, 6)
-        expected = expectation(p, mu)  # fills the moment cache
+        expected = expectation(p, family)  # fills the moment cache
         per_term = [ref_expectation({m: c}, family) for m, c in p.terms.items()]
         denominators = {e.denominator for e in per_term if e}
         fraction_builds[0] = 0
-        assert expectation(p, mu) == expected
+        assert expectation(p, family) == expected
         assert fraction_builds[0] <= len(denominators) + 1

@@ -14,7 +14,6 @@ from gamma_lab.errors import (
     PreconditionError,
 )
 from gamma_lab.measures import (
-    ProductMeasure,
     beta,
     expectation,
     gamma,
@@ -37,8 +36,7 @@ from gamma_lab.tv_bound import (
     run_chain_replicate,
 )
 
-MU1 = ProductMeasure(gaussian(), 1)
-MU2 = ProductMeasure(gaussian(), 2)
+GAUSSIAN = gaussian()
 
 
 def x1x2():
@@ -51,25 +49,25 @@ def x1x2():
 
 def test_budget_gamma_gamma_exact():
     # Gamma(x1 x2) = x1^2 + x2^2, Gamma of that = 4 x1^2 + 4 x2^2, mean 8
-    b = moment_budget(x1x2(), MU2, n=100_000, seed=1)
+    b = moment_budget(x1x2(), GAUSSIAN, n=100_000, seed=1)
     assert b.e_gamma_gamma == 8.0
     assert not b.degenerate
 
 
 def test_budget_abs_lq_mc():
     # oracle: E|L(x1 x2)| = 2 E|x1| E|x2| = 4/pi under the OU generator
-    b = moment_budget(x1x2(), MU2, n=1_000_000, seed=2)
+    b = moment_budget(x1x2(), GAUSSIAN, n=1_000_000, seed=2)
     assert b.e_abs_lq == pytest.approx(4 / math.pi, abs=3 * b.e_abs_lq_se)
 
 
 def test_budget_linear_any_family():
     # oracle: L x1 = -x1 under OU, so E|LQ| = E|x1| = sqrt(2/pi)
     x = Polynomial.variable(1, 1)
-    b = moment_budget(x, MU1, n=400_000, seed=3)
+    b = moment_budget(x, GAUSSIAN, n=400_000, seed=3)
     assert b.e_abs_lq == pytest.approx(math.sqrt(2 / math.pi), abs=3 * b.e_abs_lq_se)
     assert np.isfinite(b.total) and b.var_q == 1.0
     for fam in (gamma(2), beta(2, 2)):
-        bb = moment_budget(x, ProductMeasure(fam, 1), n=200_000, seed=3)
+        bb = moment_budget(x, fam, n=200_000, seed=3)
         assert np.isfinite(bb.total)
 
 
@@ -77,11 +75,11 @@ def test_budget_refuses_non_finite_gamma_gamma():
     # E[Gamma(Gamma(c x1 x2))] = 8 c^4 overflows at c = 1e100; E|LQ| does not.
     q = Polynomial(2, {((1, 1), (2, 1)): 1e100}, exact=False)
     with pytest.raises(PreconditionError, match=r"E\[Gamma\(Gamma\(Q\)\)\] of Q = inf"):
-        moment_budget(q, MU2, n=1_000, seed=1)
+        moment_budget(q, GAUSSIAN, n=1_000, seed=1)
 
 
 def test_budget_flags_constant():
-    b = moment_budget(Polynomial.constant(3, 1), MU1, n=1_000, seed=4)
+    b = moment_budget(Polynomial.constant(3, 1), GAUSSIAN, n=1_000, seed=4)
     assert b.degenerate
 
 
@@ -89,29 +87,28 @@ def test_budget_flags_constant():
 
 
 def test_hyper_ratio_coordinate():
-    assert hypercontractivity_ratio(Polynomial.variable(1, 1), MU1) == 3.0
+    assert hypercontractivity_ratio(Polynomial.variable(1, 1), GAUSSIAN) == 3.0
 
 
 def test_hyper_ratio_product():
-    assert hypercontractivity_ratio(x1x2(), MU2) == 9.0
+    assert hypercontractivity_ratio(x1x2(), GAUSSIAN) == 9.0
 
 
 def test_hyper_ratio_rotation_invariant_linear():
     x1, x2 = variables(2)
     q = (x1 + x2).scale(1 / math.sqrt(2))
-    assert hypercontractivity_ratio(q, MU2) == pytest.approx(3.0, rel=1e-12)
+    assert hypercontractivity_ratio(q, GAUSSIAN) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_hyper_ratio_requires_multilinear():
     x = Polynomial.variable(1, 1)
     with pytest.raises(PreconditionError):
-        hypercontractivity_ratio(x * x, MU1)
+        hypercontractivity_ratio(x * x, GAUSSIAN)
 
 
 def test_hyper_ratio_stable_over_degree_class():
     # finiteness/stability across a small multilinear family of degree <= 2
     rng = np.random.default_rng(5)
-    mu = ProductMeasure(gaussian(), 4)
     ratios = []
     for _ in range(12):
         terms = {}
@@ -119,7 +116,7 @@ def test_hyper_ratio_stable_over_degree_class():
             for j in range(i + 1, 5):
                 c = float(rng.normal())
                 terms[((i, 1), (j, 1))] = c
-        ratios.append(hypercontractivity_ratio(Polynomial(4, terms, exact=False), mu))
+        ratios.append(hypercontractivity_ratio(Polynomial(4, terms, exact=False), GAUSSIAN))
     assert max(ratios) <= 9.0 * 1.5  # generator max times recorded slack
 
 
@@ -259,17 +256,15 @@ def test_closed_form_optimum_matches_dense_search():
 def test_linear_sequence_standardized():
     for fam in (gaussian(), gamma(2), beta(2, 2)):
         q = linear_sum_sequence(fam, 7)
-        mu = ProductMeasure(fam, 7)
-        assert float(expectation(q, mu)) == pytest.approx(0.0, abs=1e-12)
-        assert float(variance(q, mu)) == pytest.approx(1.0, rel=1e-12)
+        assert float(expectation(q, fam)) == pytest.approx(0.0, abs=1e-12)
+        assert float(variance(q, fam)) == pytest.approx(1.0, rel=1e-12)
         assert q.is_multilinear()
 
 
 def test_pair_product_sequence_standardized():
     for fam in (gaussian(), gamma(2)):
         q = pair_product_sequence(fam, 5)
-        mu = ProductMeasure(fam, 10)
-        assert float(variance(q, mu)) == pytest.approx(1.0, rel=1e-12)
+        assert float(variance(q, fam)) == pytest.approx(1.0, rel=1e-12)
         assert q.is_multilinear() and q.degree() == 2
 
 
@@ -285,7 +280,7 @@ def test_budget_bounded_along_gaussian_clt_sequence():
     totals = []
     for n in (4, 16, 64):
         q = linear_sum_sequence(gaussian(), n)
-        b = moment_budget(q, ProductMeasure(gaussian(), n), n=200_000, seed=n)
+        b = moment_budget(q, gaussian(), n=200_000, seed=n)
         totals.append(b.total + b.e_abs_lq_se)
     assert max(totals) <= 1.1 * float(np.median(totals))
 
@@ -335,7 +330,7 @@ def test_budget_and_chain_prepare_share_gamma_gamma():
     fam = gamma(2)
     q = pair_product_sequence(fam, 4)
     chain = tv_bound._prepare_chain(lambda n: q, fam, [4], MIN_CHAIN_SAMPLES)
-    budget = moment_budget(q, ProductMeasure(fam, q.dim), n=1_000, seed=1)
+    budget = moment_budget(q, fam, n=1_000, seed=1)
     assert budget.e_gamma_gamma == chain.e_gamma_gammas[0]
 
 
