@@ -50,6 +50,7 @@ from .config import (
     load_config_file,
     parse_config,
     parse_family,
+    read_poly_file,
 )
 from .distances import (
     AnalyticLaw,
@@ -60,9 +61,7 @@ from .distances import (
     total_variation,
 )
 from .errors import ConfigError, ConsistencyError, PreconditionError
-from .experiments import (
-    CW_HEADER, _read_poly_file, cw_sweep_rows, run_experiment, write_csv,
-)
+from .experiments import CW_HEADER, cw_sweep_rows, run_experiment, write_csv
 from .measures import finite_float
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .operators import poincare_check as _poincare_check
@@ -98,7 +97,7 @@ def _read_poly(path: str, exact: bool | None) -> Polynomial:
     """The polynomial in a JSON file, or on stdin for ``-``."""
     if path == "-":
         return Polynomial.from_json(sys.stdin.buffer.read(), exact=exact)
-    return _read_poly_file(path, exact)
+    return read_poly_file(path, exact)
 
 
 def _emit(record, out: str | None, indent: int | None = None) -> None:
@@ -243,7 +242,7 @@ def _cmd_cw_check(args) -> int:
         "poly": q.to_json_dict(), "alphas": args.alphas, "samples": args.samples,
         "seed": args.seed, "stability_factor": args.stability_factor,
     }, text=_option)
-    rows, report = cw_sweep_rows(config, q)
+    rows, report = cw_sweep_rows(config)
     write_csv(args.out or "cw_check.csv", CW_HEADER, rows)
     sys.stderr.write(
         f"c_hat={report.c_hat} refined={report.c_hat_refined} stable={report.stable}\n"
@@ -366,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--metric", required=True, choices=["kol", "fm", "tv"])
     p_dist.add_argument("--left", required=True)
     p_dist.add_argument("--right", required=True)
-    p_dist.add_argument("--seed", type=int, default=0)
+    p_dist.add_argument("--seed", default=0)
     p_dist.add_argument("--out", default=None)
     p_dist.set_defaults(handler=_cmd_distance)
 
@@ -374,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cw.add_argument("--poly", required=True)
     _add_family_args(p_cw)
     p_cw.add_argument("--alphas", default="0.001,0.01,0.1,1.0")
-    p_cw.add_argument("--samples", type=int, default=1_000_000)
-    p_cw.add_argument("--seed", type=int, default=0)
-    p_cw.add_argument("--stability-factor", type=int, default=None, dest="stability_factor")
+    p_cw.add_argument("--samples", default=1_000_000)
+    p_cw.add_argument("--seed", default=0)
+    p_cw.add_argument("--stability-factor", default=None, dest="stability_factor")
     p_cw.add_argument("--out", default=None)
     p_cw.set_defaults(handler=_cmd_cw_check)
 
@@ -384,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sm.add_argument("--poly", required=True)
     _add_family_args(p_sm)
     p_sm.add_argument("--eps", default=None, help="comma-separated eps grid")
-    p_sm.add_argument("--samples", type=int, default=1_000_000)
-    p_sm.add_argument("--seed", type=int, default=0)
+    p_sm.add_argument("--samples", default=1_000_000)
+    p_sm.add_argument("--seed", default=0)
     p_sm.add_argument("--out", default=None)
     p_sm.set_defaults(handler=_cmd_smoothed)
 

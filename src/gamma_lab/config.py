@@ -27,6 +27,7 @@ from fractions import Fraction
 from .anticoncentration import MIN_STABILITY_FACTOR
 from .errors import ConfigError
 from .measures import MeasureFamily, beta, gamma, gaussian
+from .poly import Polynomial
 from .tv_bound import SEQUENCES
 
 CONFIG_SCHEMA = "gamma-lab/1"
@@ -60,8 +61,7 @@ class ExperimentConfig:
     samples: int = 1_000_000
     replicates: int = 1
     alphas: tuple[float, ...] = ()
-    poly: dict | None = None
-    poly_files: tuple[str, ...] = ()
+    polys: tuple[Polynomial, ...] = ()  # cw_sweep's poly, or custom's poly_files in order
     stability_factor: int | None = 10
     out: str | None = None
     raw: dict = field(default_factory=dict, compare=False)
@@ -87,8 +87,7 @@ def check_keys(record, allowed, what: str) -> None:
         raise ConfigError(f"unknown {what}: {sorted(unknown)}")
 
 
-def read_field(record: dict, key: str, kind=None, minimum=None, *,
-               default=_REQUIRED, text=None):
+def read_field(record: dict, key: str, kind=None, *, default=_REQUIRED, text=None):
     """``record[key]`` under the one rule for numeric inputs, or ConfigError.
 
     Config keys, CLI option values, tv-bound records and distance-spec
@@ -107,6 +106,7 @@ def read_field(record: dict, key: str, kind=None, minimum=None, *,
         if default is _REQUIRED:
             raise ConfigError(f"missing {name}")
         return default
+    minimum = None
     if kind is None or isinstance(kind, str):
         kind, minimum = _KEY_RULES[kind or key]
     value = record[key]
@@ -163,6 +163,9 @@ def parse_family(data, text=None) -> MeasureFamily:
 def parse_config(data: dict, text=None) -> ExperimentConfig:
     """Validate a raw config dict; raises ConfigError on any schema problem.
 
+    Every polynomial the run takes is parsed into ``polys`` last, so a
+    malformed one (exit 3) comes after every exit-2 fault of the record.
+
     ``text`` is for a record that a front-end builds from its command-line
     options: it names each key as the option typed (see :func:`read_field`).
     """
@@ -208,7 +211,6 @@ def parse_config(data: dict, text=None) -> ExperimentConfig:
             isinstance(f, str) for f in files
         ):
             raise ConfigError("poly_files must be a nonempty list of paths")
-        kwargs["poly_files"] = tuple(files)
     if "sequence" in keys:
         sequence = data.get("sequence")
         if not isinstance(sequence, str) or sequence not in SEQUENCES:
@@ -217,11 +219,8 @@ def parse_config(data: dict, text=None) -> ExperimentConfig:
             )
     if "family" in keys and family is None:
         raise ConfigError(f"{scenario} requires a family")
-    if "poly" in keys:
-        poly = data.get("poly")
-        if not isinstance(poly, dict):
-            raise ConfigError("cw_sweep requires an inline poly record")
-        kwargs["poly"] = poly
+    if "poly" in keys and not isinstance(data.get("poly"), dict):
+        raise ConfigError("cw_sweep requires an inline poly record")
     if "alphas" in keys:
         kwargs["alphas"] = ascending("alphas", float, default=None) or tuple(
             10.0 ** (-3 + i / 4) for i in range(13)
@@ -233,9 +232,27 @@ def parse_config(data: dict, text=None) -> ExperimentConfig:
         kwargs["stability_factor"] = None
     elif "stability_factor" in data:
         kwargs["stability_factor"] = read_field(data, "stability_factor", text=text)
+    if "poly" in keys:
+        kwargs["polys"] = (Polynomial.from_json_dict(data["poly"]),)
+    elif "poly_files" in keys:
+        kwargs["polys"] = tuple(map(read_poly_file, files))
 
     return ExperimentConfig(scenario=scenario, seed=seed, family=family, sequence=sequence,
                             out=out, raw=dict(data), **kwargs)
+
+
+def read_poly_file(path: str, exact: bool | None = None) -> Polynomial:
+    """The polynomial in a JSON file.
+
+    A path that cannot be read is a ConfigError; bytes that are not UTF-8,
+    or not a polynomial record, are a PreconditionError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read polynomial file {path}: {exc}") from exc
+    return Polynomial.from_json(data, exact=exact)
 
 
 def config_hash(data: dict) -> str:

@@ -1,17 +1,19 @@
 """Scenario execution: reproducible CSV outputs and run manifests.
 
 Each scenario turns an :class:`~gamma_lab.config.ExperimentConfig` into one
-or more CSV files plus a ``manifest.json``.  Replicates are independent
-named substreams of the config seed.  A chain run spreads its threads over
-replicates first: ``min(threads, replicates)`` replicates run at once, and
-each splits its pool pass over ``threads // min(threads, replicates)``
-workers by chunk (``pool_threads`` in the manifest), so a single replicate
-uses every thread.  Both maps return results in order and the CSV bytes do
-not depend on the thread count.  The manifest's ``diagnostics`` hold a
-chain run's per-row estimator diagnostics, or a cw_sweep's fitted c_hat and
-its stability check.  Floats are serialized with ``repr``
-(shortest round-trip form) to keep outputs byte-stable; :func:`write_csv`
-refuses a NaN or infinite cell before it opens the file.
+or more CSV files plus a ``manifest.json``.  Every input, polynomials
+included, is parsed into the config before ``--out`` exists, so this module
+opens only its outputs.  Replicates are independent named substreams of the
+config seed.  A chain run spreads its threads over replicates first:
+``min(threads, replicates)`` replicates run at once, and each splits its
+pool pass over ``threads // min(threads, replicates)`` workers by chunk
+(``pool_threads`` in the manifest), so a single replicate uses every thread.
+Both maps return results in order and the CSV bytes do not depend on the
+thread count.  The manifest's ``diagnostics`` hold a chain run's per-row
+estimator diagnostics, or a cw_sweep's fitted c_hat and its stability check.
+Floats are serialized with ``repr`` (shortest round-trip form) to keep
+outputs byte-stable; :func:`write_csv` refuses a NaN or infinite cell before
+it opens the file.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .config import (
     config_hash,
 )
 from .distances import AnalyticLaw, kolmogorov, total_variation
-from .errors import ConfigError, PreconditionError
-from .poly import Polynomial
+from .errors import PreconditionError
 from .sampling import derive_seed, ordered_map
 from .tv_bound import SEQUENCES, run_chain_replicate
 
@@ -82,25 +83,9 @@ def _run_cos2(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict, 
     return [path], timings, None
 
 
-def _read_poly_file(path: str, exact: bool | None = None) -> Polynomial:
-    """The polynomial in a JSON file.
-
-    A path that cannot be read is a ConfigError; bytes that are not UTF-8,
-    or not a polynomial record, are a PreconditionError.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read polynomial file {path}: {exc}") from exc
-    return Polynomial.from_json(data, exact=exact)
-
-
 def _chain_builder(config: ExperimentConfig):
     if config.sequence is None:  # custom: the chain of its polynomial files
-        elements = [_read_poly_file(fname) for fname in config.poly_files]
-        n_grid = tuple(range(1, len(elements) + 1))
-        return (lambda n: elements[n - 1]), n_grid
+        return (lambda n: config.polys[n - 1]), tuple(range(1, len(config.polys) + 1))
     builder_fn = SEQUENCES[config.sequence]
     family = config.family
     return (lambda n: builder_fn(family, n)), config.n_grid
@@ -166,13 +151,13 @@ def _run_chain(
 CW_HEADER = ["alpha", "estimate", "stderr", "ratio"]
 
 
-def cw_sweep_rows(config: ExperimentConfig, q: Polynomial) -> tuple[list[list], CWReport]:
-    """The small-ball sweep of a cw_sweep config on q: CSV rows and report.
+def cw_sweep_rows(config: ExperimentConfig) -> tuple[list[list], CWReport]:
+    """The small-ball sweep of a cw_sweep config: CSV rows and report.
 
     The scenario and the ``cw-check`` command both compute through here.
     """
     report = carbery_wright_check(
-        q, config.family, np.asarray(config.alphas),
+        config.polys[0], config.family, np.asarray(config.alphas),
         config.samples, config.seed, stability_factor=config.stability_factor,
     )
     curve = report.curve
@@ -181,9 +166,8 @@ def cw_sweep_rows(config: ExperimentConfig, q: Polynomial) -> tuple[list[list], 
 
 
 def _run_cw_sweep(config: ExperimentConfig, out_dir: str) -> tuple[list[str], dict, dict]:
-    q = Polynomial.from_json_dict(config.poly)
     t0 = time.time()
-    rows, report = cw_sweep_rows(config, q)
+    rows, report = cw_sweep_rows(config)
     timings = {"sweep_s": round(time.time() - t0, 3)}
     path = os.path.join(out_dir, "cw_sweep.csv")
     write_csv(path, CW_HEADER, rows)
@@ -204,9 +188,9 @@ def run_experiment(
 ) -> dict:
     """Execute a validated config; returns the manifest dict (also written).
 
-    The output directory is created only after validation has passed, so a
-    rejected config leaves no files behind; a run that fails removes the
-    directories this call created.
+    Every input was parsed with the config, before the output directory
+    exists, so a rejected one leaves no files behind; a run that fails
+    removes the directories this call created.
     """
     threads = 1 if threads is None else max(1, threads)
     out_dir = out_dir or config.out or "."

@@ -540,14 +540,21 @@ class Polynomial:
             terms.append({"exps": [[v, p] for v, p in m], "coef": coef})
         return {"dim": self.dim, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: Mapping, exact: bool | None = None) -> "Polynomial":
+        """A polynomial record, or PreconditionError: ``dim``, variables and
+        powers are ints (no bool or float), and a stray key is refused."""
         try:
-            dim = int(data["dim"])
+            stray = (set(data) - {"dim", "terms"}).union(
+                *(set(entry) - {"exps", "coef"} for entry in data["terms"]))
+            if stray:
+                raise ValueError(f"unknown keys {sorted(stray)}")
+            dim = data["dim"]
             coefs = [(entry["exps"], entry["coef"]) for entry in data["terms"]]
+            ints = [dim, *(x for exps, _ in coefs for pair in exps for x in pair)]
+            for x in ints:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise TypeError(f"{x!r} is not an integer")
             if any(isinstance(c, bool) for _, c in coefs):
                 raise PreconditionError("boolean coefficient")
             coefs = [(e, Fraction(c) if isinstance(c, str) else c) for e, c in coefs]
@@ -558,7 +565,7 @@ class Polynomial:
                 if exact and isinstance(c, float):
                     # Decimal semantics: 0.1 in a rational-mode file means 1/10.
                     c = Fraction(repr(c))
-                key = _mono([(int(v), int(p)) for v, p in exps], dim)
+                key = _mono(exps, dim)
                 terms[key] = terms.get(key, 0) + (Fraction(c) if exact else float(c))
         except (KeyError, TypeError, ValueError, ZeroDivisionError,
                 OverflowError) as exc:  # OverflowError: an int beyond float range

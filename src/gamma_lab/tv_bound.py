@@ -194,18 +194,17 @@ def optimize_bound(d_fm: float, kappa: float, d: int, budget_sup: float) -> Boun
     """Grid-minimize the bound over the logarithmic ``ALPHA_GRID`` x ``EPS_GRID``.
 
     Deterministic: ties resolve to the smallest (alpha, eps) in grid order.
+    The inputs are checked by the :func:`evaluate_bound` call at the optimum,
+    so the grid may overflow or reach NaN on inputs that call then refuses.
     """
-    if d_fm < 0 or kappa < 0 or budget_sup < 0:
-        raise PreconditionError("bound inputs must be nonnegative")
-    if d < 1:
-        raise PreconditionError("degree bound d must be >= 1")
     (a_lo, a_hi, n_alpha), (e_lo, e_hi, n_eps) = ALPHA_GRID, EPS_GRID
     alphas = np.logspace(math.log10(a_lo), math.log10(a_hi), n_alpha)
     epss = np.logspace(math.log10(e_lo), math.log10(e_hi), n_eps)
-    fm_terms = d_fm / alphas[:, None]
-    smoothing = 4.0 * kappa * epss[None, :] ** (1.0 / (2 * d + 1))
-    regularity = TWO_SQRT_2_OVER_PI * budget_sup * alphas[:, None] / epss[None, :]
-    totals = fm_terms + smoothing + regularity
+    with np.errstate(over="ignore", invalid="ignore"):
+        fm_terms = d_fm / alphas[:, None]
+        smoothing = 4.0 * kappa * epss[None, :] ** (1.0 / (2 * d + 1))
+        regularity = TWO_SQRT_2_OVER_PI * budget_sup * alphas[:, None] / epss[None, :]
+        totals = fm_terms + smoothing + regularity
     flat = int(np.argmin(totals))
     i, j = divmod(flat, n_eps)
     report = evaluate_bound(d_fm, kappa, d, budget_sup, float(alphas[i]), float(epss[j]))
@@ -268,7 +267,9 @@ SEQUENCES = {
 
 @dataclass(frozen=True)
 class ChainRow:
-    """One chain pair; the fields after ``bound`` are diagnostics, not CSV columns.
+    """One chain pair.  The CSV columns are ``n``, ``d_fm``, ``d_tv_hat``,
+    ``kappa``, ``budget``, ``alpha_star``, ``eps_star`` and ``bound``; the
+    other fields are diagnostics.
 
     Every field converts to a finite float.
     """

@@ -295,7 +295,7 @@ def test_criterion_08_tv_chain():
 
 def test_criterion_09_nondegeneracy_gate(tmp_path, capsys):
     poly_path = tmp_path / "const.json"
-    poly_path.write_text(Polynomial.constant(3, dim=2).to_json())
+    poly_path.write_text(json.dumps(Polynomial.constant(3, dim=2).to_json_dict()))
     config = {
         "schema": "gamma-lab/1",
         "scenario": "custom",

@@ -84,6 +84,11 @@ NEGATIVE_CONFIGS = [
     {"schema": "gamma-lab/1", "scenario": "cw_sweep",
      "family": {"kind": "gaussian"},
      "poly": {"dim": 1, "terms": []}, "alphas": [0.5, math.inf]},  # an infinite alpha
+    {"schema": "gamma-lab/1", "scenario": "custom", "poly_files": ["no-such-dir/q.json"],
+     "family": {"kind": "gaussian"}},  # a polynomial file that does not exist
+    {"schema": "gamma-lab/1", "scenario": "cw_sweep",
+     "family": {"kind": "gaussian"}, "poly": {"dim": 1.5, "terms": "x"},
+     "alphas": [0.2, 0.1]},  # a malformed poly (exit 3) after bad alphas (exit 2)
 ]
 
 
@@ -98,6 +103,13 @@ def test_out_of_domain_family_is_precondition_not_config():
     with pytest.raises(PreconditionError):
         parse_config(raw)
     raw = dict(BASE_CHAIN, family={"kind": "gamma", "r": 0.25})
+    with pytest.raises(PreconditionError):
+        parse_config(raw)
+
+
+def test_malformed_inline_poly_is_precondition_from_parse_config():
+    raw = {"schema": "gamma-lab/1", "scenario": "cw_sweep", "family": {"kind": "gaussian"},
+           "poly": {"dim": 1, "terms": [{"exps": [[1, 1]]}]}}  # a term without coef
     with pytest.raises(PreconditionError):
         parse_config(raw)
 
@@ -182,7 +194,7 @@ def test_run_config_error_distinct_exit(tmp_path):
 def test_degenerate_custom_chain_exit_code(tmp_path):
     # constant-limit sequence: rejected by the variance criterion, exit 3
     poly_path = tmp_path / "const.json"
-    poly_path.write_text(Polynomial.constant(2, dim=1).to_json())
+    poly_path.write_text(json.dumps(Polynomial.constant(2, dim=1).to_json_dict()))
     raw = {
         "schema": "gamma-lab/1",
         "scenario": "custom",
@@ -224,7 +236,7 @@ def test_cos2_scenario_csv(tmp_path):
 
 def poly_file(tmp_path, p, name="p.json"):
     path = tmp_path / name
-    path.write_text(p.to_json())
+    path.write_text(json.dumps(p.to_json_dict()))
     return str(path)
 
 
@@ -347,7 +359,7 @@ def test_cli_distance_samples_and_poly(tmp_path):
     sfile = tmp_path / "a.samples"
     save_samples(sfile, rng.standard_normal(20_000))
     qfile = tmp_path / "q.json"
-    qfile.write_text(Polynomial.variable(1, 1).to_json())
+    qfile.write_text(json.dumps(Polynomial.variable(1, 1).to_json_dict()))
     out = tmp_path / "d.csv"
     code = run_cli(
         "distance", "--metric", "tv",
@@ -401,6 +413,13 @@ NOT_UTF8 = b"\xff\xfe{}"
     (["generator", "--poly", "{nocoef}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{badcoef}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{nodim}", "--family", "gaussian"], EXIT_PRECONDITION),
+    # An integer field of a record takes integers only, and a stray key is an
+    # error: nothing is coerced or ignored.
+    (["generator", "--poly", "{floatdim}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{floatpower}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{boolvar}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{termkey}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{recordkey}", "--family", "gaussian"], EXIT_PRECONDITION),
     # A spec's key=value fields: a misspelled or stray key is an error, and a
     # seed or sample count follows the config rule (seed >= 0, samples >= 1).
     (["distance", "--metric", "kol", "--left", "analytic:gaussian:mu=0:sigmaa=3",
@@ -430,10 +449,15 @@ def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, argv, code):
     (tmp_path / "notutf8.json").write_bytes(NOT_UTF8)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
     files = {
-        "q": Polynomial.variable(1, 1).to_json(),
+        "q": json.dumps(Polynomial.variable(1, 1).to_json_dict()),
         "nocoef": '{"dim": 1, "terms": [{"exps": [[1, 1]]}]}',
         "badcoef": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": "1/x"}]}',
         "nodim": '{"terms": [{"exps": [[1, 1]], "coef": 1}]}',
+        "floatdim": '{"dim": 2.7, "terms": [{"exps": [[1, 1]], "coef": 1}]}',
+        "floatpower": '{"dim": 1, "terms": [{"exps": [[1, 1.9]], "coef": 1}]}',
+        "boolvar": '{"dim": 1, "terms": [{"exps": [[true, 1]], "coef": 1}]}',
+        "termkey": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": 1, "power": 2}]}',
+        "recordkey": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": 1}], "exact": true}',
         "bigcoef": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": %s}]}' % ("9" * 5000),
         "bigseed": '{"seed": %s}' % ("9" * 5000),
         "custom": json.dumps({
@@ -600,7 +624,7 @@ def test_cw_sweep_manifest_records_fit_and_refinement(tmp_path):
 
 def test_cli_cw_check(tmp_path):
     qfile = tmp_path / "q.json"
-    qfile.write_text(Polynomial.variable(1, 1).to_json())
+    qfile.write_text(json.dumps(Polynomial.variable(1, 1).to_json_dict()))
     out = tmp_path / "cw.csv"
     code = run_cli("cw-check", "--poly", str(qfile), "--family", "gaussian",
                    "--alphas", "0.01,0.1,1.0", "--samples", "50000",
@@ -615,7 +639,7 @@ def test_cli_cw_check(tmp_path):
 
 def test_cli_smoothed_functional(tmp_path):
     qfile = tmp_path / "q.json"
-    qfile.write_text(Polynomial.variable(1, 1).to_json())
+    qfile.write_text(json.dumps(Polynomial.variable(1, 1).to_json_dict()))
     out = tmp_path / "sm.csv"
     code = run_cli("smoothed-functional", "--poly", str(qfile), "--family",
                    "gaussian", "--eps", "0.001,0.01,0.1", "--samples", "1000",
@@ -649,7 +673,7 @@ def test_cli_smoothed_functional(tmp_path):
         "smoothed-samples-0", "smoothed-seed-negative"])
 def test_cli_bad_sweep_options_exit_2(tmp_path, capsys, argv):
     qfile = tmp_path / "q.json"
-    qfile.write_text(Polynomial.variable(1, 1).to_json())
+    qfile.write_text(json.dumps(Polynomial.variable(1, 1).to_json_dict()))
     out = tmp_path / "out.csv"
     # The option under test comes last, as --option=value, so it overrides
     # --samples 100 and its value may begin with a minus sign.
@@ -837,7 +861,7 @@ def _cli_argv(draw):
 def cli_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
-    (path / "q.json").write_text((x1 + x1 * x2).to_json())
+    (path / "q.json").write_text(json.dumps((x1 + x1 * x2).to_json_dict()))
     return path
 
 

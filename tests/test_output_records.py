@@ -3,7 +3,8 @@
 ``data/output_digests.json`` holds the SHA-256 of every CSV, and of every
 ``manifest.json`` with its ``timings`` removed, that ``gamma-lab run``
 writes for each of the eight scenarios on a small config, at ``--threads 1``
-and ``--threads 2``.  It also holds the digests of the files that
+and ``--threads 2``; a ``beta_clt`` run at ``--threads 3`` must match the
+same digests.  It also holds the digests of the files that
 ``distance`` (a sample file with the six-line header, analytic laws and a
 sampled polynomial), ``cw-check``, ``smoothed-functional``, ``tv-bound`` and
 the four operator commands write.  Every run starts in a fresh directory and
@@ -124,17 +125,19 @@ def _digests(directory: str) -> dict:
     return out
 
 
-def scenario_record(scenario: str) -> dict:
-    """The digests of one scenario's run at --threads 1 and 2, in the cwd."""
+def run_digests(scenario: str, threads: str) -> dict:
+    """The digests of one scenario's run at a thread count, in the cwd."""
     _write_inputs()
     config = dict(SCENARIOS[scenario], schema="gamma-lab/1", scenario=scenario)
     pathlib.Path("cfg.json").write_text(json.dumps(config))
-    out = {}
-    for threads in ("1", "2"):
-        assert main(["run", "--config", "cfg.json", "--out", f"t{threads}",
-                     "--threads", threads]) == EXIT_OK
-        out[threads] = _digests(f"t{threads}")
-    return out
+    assert main(["run", "--config", "cfg.json", "--out", f"t{threads}",
+                 "--threads", threads]) == EXIT_OK
+    return _digests(f"t{threads}")
+
+
+def scenario_record(scenario: str) -> dict:
+    """The digests of one scenario's run at --threads 1 and 2, in the cwd."""
+    return {threads: run_digests(scenario, threads) for threads in ("1", "2")}
 
 
 def command_record(name: str) -> str:
@@ -157,6 +160,13 @@ def _numpy_note():
 def test_run_outputs_match_record(scenario, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert scenario_record(scenario) == _recorded()["run"][scenario], _numpy_note()
+
+
+def test_chain_run_at_three_threads_matches_record(tmp_path, monkeypatch):
+    # One replicate over two chunks: three pool threads, of which ordered_map
+    # starts two, write the bytes of one.
+    monkeypatch.chdir(tmp_path)
+    assert run_digests("beta_clt", "3") == _recorded()["run"]["beta_clt"]["1"], _numpy_note()
 
 
 @pytest.mark.parametrize("name", COMMANDS)
