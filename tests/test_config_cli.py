@@ -413,13 +413,6 @@ NOT_UTF8 = b"\xff\xfe{}"
     (["generator", "--poly", "{nocoef}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{badcoef}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{nodim}", "--family", "gaussian"], EXIT_PRECONDITION),
-    # An integer field of a record takes integers only, and a stray key is an
-    # error: nothing is coerced or ignored.
-    (["generator", "--poly", "{floatdim}", "--family", "gaussian"], EXIT_PRECONDITION),
-    (["generator", "--poly", "{floatpower}", "--family", "gaussian"], EXIT_PRECONDITION),
-    (["generator", "--poly", "{boolvar}", "--family", "gaussian"], EXIT_PRECONDITION),
-    (["generator", "--poly", "{termkey}", "--family", "gaussian"], EXIT_PRECONDITION),
-    (["generator", "--poly", "{recordkey}", "--family", "gaussian"], EXIT_PRECONDITION),
     # A spec's key=value fields: a misspelled or stray key is an error, and a
     # seed or sample count follows the config rule (seed >= 0, samples >= 1).
     (["distance", "--metric", "kol", "--left", "analytic:gaussian:mu=0:sigmaa=3",
@@ -444,6 +437,13 @@ NOT_UTF8 = b"\xff\xfe{}"
     (["generator", "--poly", "{notutf8}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "-", "--family", "gaussian"], EXIT_PRECONDITION),
     (["run", "--config", "{custom}"], EXIT_PRECONDITION),
+    # An integer field of a record takes integers only, and a stray key is an
+    # error: nothing is coerced or ignored.
+    (["generator", "--poly", "{floatdim}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{floatpower}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{boolvar}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{termkey}", "--family", "gaussian"], EXIT_PRECONDITION),
+    (["generator", "--poly", "{recordkey}", "--family", "gaussian"], EXIT_PRECONDITION),
 ])
 def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, argv, code):
     (tmp_path / "notutf8.json").write_bytes(NOT_UTF8)
