@@ -6,9 +6,12 @@ and the definition route (L(Q^2) - 2 Q LQ)/2 in double mode, plus E[Q^2].
 Each polynomial is written as its float-hex coefficients in sorted monomial
 order; the file keeps that text's term count and SHA-256 digest, and E[Q^2]
 as float hex.  A seeded corpus of rational polynomials is kept in full:
-exact L f, Gamma(f) and the spectral reconstruct() as strings.  Any change
-to a coefficient, a summation order that moves a rounding, or a term that
-appears or vanishes fails here.
+exact L f, Gamma(f) and the spectral reconstruct() as strings, each exact
+spectral component with its eigenvalue, and, for the corpus converted to
+double mode under the five families, L f, Gamma(f) and the spectral
+components.  Components are listed in the decomposition's own order.  Any
+change to a coefficient, a summation order that moves a rounding, or a term
+that appears or vanishes fails here.
 
 Re-record, from the repository root: ``PYTHONPATH=src python
 tests/test_kernel_records.py``.  Do so only for a change that is meant to
@@ -44,14 +47,22 @@ EXACT_FAMILIES = {"gaussian": gaussian(), "gamma(5/2)": gamma(Fraction(5, 2)),
                   "beta(2,3)": beta(2, 3)}
 
 
+def _number(c) -> str:
+    """An exact number as p/q, a double one as float hex."""
+    return f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c.hex()
+
+
 def _text(p: Polynomial) -> str:
     """Coefficients in sorted monomial order: exact as p/q, double as float hex."""
-    def coef(c):
-        return f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c.hex()
-
     return "; ".join(
-        "*".join(f"x{v}^{e}" for v, e in m) + f" {coef(c)}" for m, c in p.sorted_terms()
+        "*".join(f"x{v}^{e}" for v, e in m) + f" {_number(c)}" for m, c in p.sorted_terms()
     )
+
+
+def _components(op: DiffusionOperator, f: Polynomial) -> list:
+    """[eigenvalue, component text] pairs, in the decomposition's order."""
+    return [[_number(lam), _text(comp)]
+            for lam, comp in spectral_decompose(op, f).components.items()]
 
 
 def _digest(p: Polynomial) -> list:
@@ -100,6 +111,21 @@ def exact_record(family: str) -> list:
     ]
 
 
+def exact_components_record(family: str) -> list:
+    op = DiffusionOperator(EXACT_FAMILIES[family], 3)
+    return [_components(op, f) for f in exact_corpus()]
+
+
+def double_record(family: str) -> list:
+    op = DiffusionOperator(FAMILIES[family], 3)
+    out = []
+    for f in exact_corpus():
+        f = f.to_double()
+        out.append({"L": _text(apply_generator(op, f)), "gamma": _text(carre_du_champ(op, f)),
+                    "components": _components(op, f)})
+    return out
+
+
 def _recorded():
     with open(PATH) as fh:
         return json.load(fh)
@@ -116,10 +142,22 @@ def test_exact_operator_outputs_match_record(family):
     assert exact_record(family) == _recorded()["exact"][family]
 
 
+@pytest.mark.parametrize("family", EXACT_FAMILIES)
+def test_exact_spectral_components_match_record(family):
+    assert exact_components_record(family) == _recorded()["exact_components"][family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_double_corpus_outputs_match_record(family):
+    assert double_record(family) == _recorded()["double"][family]
+
+
 if __name__ == "__main__":
     record = {
         "chain": {f"{f}/{s}": chain_record(f, s) for f in FAMILIES for s in SEQUENCES},
         "exact": {f: exact_record(f) for f in EXACT_FAMILIES},
+        "exact_components": {f: exact_components_record(f) for f in EXACT_FAMILIES},
+        "double": {f: double_record(f) for f in FAMILIES},
     }
     with open(PATH, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
