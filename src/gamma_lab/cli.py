@@ -18,9 +18,9 @@ limit, a NaN or infinite output value), 4 failed internal consistency check.
 An --out that cannot be written (a file where a directory must go, or the
 reverse) is exit 2, and nothing is written.
 Option values and spec fields follow the config rules (exit 2): no boolean
-is a number, every number is finite as a float, a seed is >= 0, a sample
-count (--samples, a poly spec's n) is >= 1, and a spec's unknown or stray
-key is rejected.  ``cw-check`` is the cw_sweep scenario on its options.
+is a number, every number is finite as a float, a seed is in 0..2**64 - 1,
+a sample count (--samples, a poly spec's n) is >= 1, and a spec's unknown or
+stray key is rejected.  ``cw-check`` is the cw_sweep scenario on its options.
 
 Input specs for ``distance``:
     @file.samples                           one float a line; blank, #... and

@@ -69,13 +69,15 @@ class ExperimentConfig:
 
 _REQUIRED = object()
 
-# The one rule (kind, minimum) of each numeric config key.  A CLI option or
-# a distance-spec field that stands for the same quantity is checked by it.
+# The one rule (kind, minimum, maximum) of each numeric config key.  A CLI
+# option or a distance-spec field that stands for the same quantity is
+# checked by it.  A seed is a 64-bit entropy word: a larger one would alias
+# the seed of its low 64 bits.
 _KEY_RULES = {
-    "seed": (int, 0),
-    "samples": (int, 1),
-    "replicates": (int, 1),
-    "stability_factor": (int, MIN_STABILITY_FACTOR),
+    "seed": (int, 0, 2**64 - 1),
+    "samples": (int, 1, None),
+    "replicates": (int, 1, None),
+    "stability_factor": (int, MIN_STABILITY_FACTOR, None),
 }
 
 
@@ -106,9 +108,9 @@ def read_field(record: dict, key: str, kind=None, *, default=_REQUIRED, text=Non
         if default is _REQUIRED:
             raise ConfigError(f"missing {name}")
         return default
-    minimum = None
+    minimum = maximum = None
     if kind is None or isinstance(kind, str):
-        kind, minimum = _KEY_RULES[kind or key]
+        kind, minimum, maximum = _KEY_RULES[kind or key]
     value = record[key]
     many = isinstance(kind, list)
     if many:
@@ -141,6 +143,8 @@ def read_field(record: dict, key: str, kind=None, *, default=_REQUIRED, text=Non
             v = float(v) if kind is float else v
         if minimum is not None and v < minimum:
             raise ConfigError(f"{label} must be >= {minimum}, got {v}")
+        if maximum is not None and v > maximum:
+            raise ConfigError(f"{label} must be <= {maximum}, got {v}")
         checked.append(v)
     return checked if many else checked[0]
 

@@ -323,10 +323,18 @@ def default_bin_count(n: int) -> int:
     return max(1, math.ceil(n ** (1.0 / 3.0)))
 
 
+def _check_span(lo: float, hi: float, what: str, pad: float = 0.0) -> None:
+    """PreconditionError when [lo - pad, hi + pad] is wider than float
+    range: its bins or grid steps would be infinite."""
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise PreconditionError(f"{what} [{lo}, {hi}] is too wide for float arithmetic")
+
+
 def _tv_histogram(x: SampleSet, y: SampleSet) -> DistanceReport:
     bins = default_bin_count(min(x.n, y.n))
     lo = float(min(x.values.min(), y.values.min()))
     hi = float(max(x.values.max(), y.values.max()))
+    _check_span(lo, hi, "pooled sample range")
     if hi <= lo:
         # The pooled range is a single point, so both sets are that constant.
         return DistanceReport("tv", 0.0, "histogram",
@@ -365,6 +373,7 @@ def _tv_mixed(x: SampleSet, law: AnalyticLaw) -> DistanceReport:
     bins = default_bin_count(x.n)
     lo = min(float(x.values.min()), law.interval[0])
     hi = max(float(x.values.max()), law.interval[1])
+    _check_span(lo, hi, "pooled sample and law range")
     edges = np.linspace(lo, hi, bins + 1)
     px = np.histogram(x.values, bins=edges)[0] / x.n
     cdf_vals = np.asarray(law.cdf(edges), dtype=float)
@@ -398,6 +407,7 @@ def fortet_mourier(x: Input, y: Input) -> DistanceReport:
         # separate anything.
         return DistanceReport("fm", 0.0, "grid-dual", params={"degenerate": True})
     pad = RANGE_EXPANSION * (hi - lo) / 2
+    _check_span(lo, hi, "pooled range of the fm grid", pad)
     grid = np.linspace(lo - pad, hi + pad, GRID_POINTS)
     step = float(grid[1] - grid[0])
     w = _grid_masses(x, grid, step) - _grid_masses(y, grid, step)

@@ -24,6 +24,19 @@ and gamma families and i (i + a + b - 1) for the beta family, and adds
 across coordinates.  Note the beta spectral gap is therefore a + b (the
 index-1 value); the value a + b - 1 sometimes quoted for this operator is
 surfaced in the Poincaré report as ``lambda1_alt`` but never used.
+
+How they are computed: L and Gamma write their result's term map directly.
+One pass over f buckets its terms by the variable they are differentiated
+in, in f's term order; A and B are read once per call from the polynomials
+``_diffusion_coeff`` and ``_drift_coeff`` build; and each variable's terms
+are multiplied out and added in sorted variable order.  The spectral
+decomposition keeps integer tensor-basis coefficients and expands each one
+times its basis polynomials into one term map per eigenvalue.  Exact mode
+works on integer numerators over one denominator, with one gcd pass per
+result.  Double mode runs the same loops: each coefficient's float
+operations and their order, and the order terms enter the result, are those
+of the polynomial ring fold (a product, then a sum per variable), which the
+records in ``tests/data/kernel_outputs.json`` pin byte for byte.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from .measures import (
     monomial_in_basis,
     variance,
 )
-from .poly import Coef, Polynomial
+from .poly import Coef, Polynomial, _add_terms, _mono_mul
 
 MAX_EXACT_DEGREE = 8
 MAX_EXACT_DIM = 12
@@ -92,6 +105,59 @@ def _common_exact(op: DiffusionOperator, *polys: Polynomial) -> bool:
     return op.family.exact and all(p.exact for p in polys)
 
 
+def _univariate(p: Polynomial) -> tuple[int, list[tuple[int, Coef]]]:
+    """(den, [(power, c), ...]) of a polynomial in x_1 alone, in its term
+    order: exact coefficients are numerators over den, double ones floats."""
+    den, terms = p.integer_form() if p.exact else (1, p.terms)
+    return den, [(m[0][1] if m else 0, c) for m, c in terms.items()]
+
+
+def _partials(p: Polynomial, exact: bool) -> tuple[int, dict[int, list]]:
+    """Every first partial derivative of p, from one pass over its terms.
+
+    Returns (den, parts): ``parts[i]`` lists the terms of d_i p in p's term
+    order as (head, e, tail, d), the monomial head + ((i, e),) + tail (no x_i
+    when e is 0) with coefficient d.  In exact mode d is an integer numerator
+    over den; in double mode it is a float, the power times a double
+    coefficient, or the exact (power * n) / den rounded once, as __mul__
+    reads an exact operand of a double product.
+    """
+    den, terms = p.integer_form() if p.exact else (1, p.terms)
+    convert = p.exact and not exact
+    parts: dict[int, list] = {}
+    try:
+        for m, c in terms.items():
+            for j, (var, power) in enumerate(m):
+                d = c * power / den if convert else c * power
+                entry = (m[:j], power - 1, m[j + 1:], d)
+                part = parts.get(var)
+                if part is None:
+                    parts[var] = [entry]
+                else:
+                    part.append(entry)
+    except OverflowError:
+        raise PreconditionError("exact coefficient beyond float range") from None
+    return (den if exact else 1), parts
+
+
+def _times_coefficient(coefs: list[tuple[int, Coef]], part: list, i: int) -> dict:
+    """The term map of C(x_i) * P, for C as [(power, c)] and P as (head, e,
+    tail, d) terms: __mul__'s loop, C's terms outer, with each monomial
+    written in place."""
+    out: dict = {}
+    for k, c in coefs:
+        for head, e, tail, d in part:
+            e += k
+            m = head + ((i, e),) + tail if e else head + tail
+            s = out.get(m)
+            s = c * d if s is None else s + c * d
+            if s:  # a double product alone can also be zero
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
 def apply_generator(op: DiffusionOperator, f: Polynomial) -> Polynomial:
     """Lf, computed term-exactly; never raises the degree."""
     if f.dim != op.dim:
@@ -99,12 +165,20 @@ def apply_generator(op: DiffusionOperator, f: Polynomial) -> Polynomial:
     exact = _common_exact(op, f)
     if exact != f.exact:
         f = f.to_double()
-    parts = []
-    for i in sorted(f.variables()):
-        fi = f.partial(i)
-        parts.append(_diffusion_coeff(op, i, exact) * fi.partial(i))
-        parts.append(_drift_coeff(op, i, exact) * fi)
-    return Polynomial._sum(op.dim, exact, parts)
+    den, parts = _partials(f, exact)
+    a_den, a_coefs = _univariate(_diffusion_coeff(op, 1, exact))
+    b_den, b_coefs = _univariate(_drift_coeff(op, 1, exact))
+    # A and B over one denominator; a double one is 1, and c * 1 is c.
+    common = math.lcm(a_den, b_den)
+    a_coefs = [(k, c * (common // a_den)) for k, c in a_coefs]
+    b_coefs = [(k, c * (common // b_den)) for k, c in b_coefs]
+    out: dict = {}
+    for i in sorted(parts):
+        first = parts[i]
+        second = [(head, e - 1, tail, d * e) for head, e, tail, d in first if e]
+        _add_terms(out, _times_coefficient(a_coefs, second, i).items())
+        _add_terms(out, _times_coefficient(b_coefs, first, i).items())
+    return f._wrap(out, exact, common * den)
 
 
 def carre_du_champ(
@@ -116,10 +190,27 @@ def carre_du_champ(
     if f.dim != op.dim or g.dim != op.dim:
         raise DimensionMismatchError("operand dimensions do not match the operator")
     exact = _common_exact(op, f, g)
-    return Polynomial._sum(op.dim, exact, (
-        _diffusion_coeff(op, i, exact) * f.partial(i) * g.partial(i)
-        for i in sorted(f.variables() & g.variables())
-    ))
+    f_den, f_parts = _partials(f, exact)
+    g_den, g_parts = (f_den, f_parts) if g is f else _partials(g, exact)
+    a_den, a_coefs = _univariate(_diffusion_coeff(op, 1, exact))
+    out: dict = {}
+    for i in sorted(f_parts.keys() & g_parts.keys()):
+        # (A d_i f) * d_i g, the product's loop with the left factor outer.
+        left = _times_coefficient(a_coefs, f_parts[i], i)
+        right = [(head + ((i, e),) + tail if e else head + tail, d)
+                 for head, e, tail, d in g_parts[i]]
+        prod: dict = {}
+        for m1, c1 in left.items():
+            for m2, c2 in right:
+                m = _mono_mul(m1, m2)
+                s = prod.get(m)
+                s = c1 * c2 if s is None else s + c1 * c2
+                if s:
+                    prod[m] = s
+                else:
+                    prod.pop(m, None)
+        _add_terms(out, prod.items())
+    return f._wrap(out, exact, a_den * f_den * g_den)
 
 
 def carre_du_champ_from_definition(
@@ -224,10 +315,6 @@ class SpectralDecomposition:
             self.dim, exact, (self.components[lam] for lam in self.eigenvalues())
         )
 
-    def component(self, lam) -> Polynomial:
-        key = _match_float_eigenvalue(self.components, float(lam))
-        return self.components.get(key, Polynomial.zero(self.dim, self.family.exact))
-
 
 def spectral_decompose(op: DiffusionOperator, f: Polynomial) -> SpectralDecomposition:
     """Expand f in the tensor orthogonal basis and group by eigenvalue.
@@ -287,24 +374,47 @@ def spectral_decompose(op: DiffusionOperator, f: Polynomial) -> SpectralDecompos
             if c != 0:
                 coeffs[key] = coeffs.get(key, 0) + c
 
-    groups: dict[Coef, Polynomial] = {}
+    # Each nonzero coefficient joins its eigenvalue's group, in key order.
+    members: dict[Coef, list] = {}
+    bases: dict[int, tuple[int, list[tuple[int, Coef]]]] = {}
     for key in sorted(coeffs):
         c = coeffs[key]
         if c == 0:
             continue
         lam = eigenvalue(family, tuple(i for _, i in key))
         if not exact:
-            lam = _match_float_eigenvalue(groups, float(lam))
-        term = Polynomial.constant(Fraction(c, common * den) if exact else c, op.dim, exact)
-        for var, i in key:
-            bp = basis(family, i).poly
-            term = term * (bp if exact else bp.to_double()).embed(var, op.dim)
-        groups[lam] = groups.get(lam, Polynomial.zero(op.dim, exact)) + term
-    groups = {lam: comp for lam, comp in groups.items() if not comp.is_zero()}
-    return SpectralDecomposition(family, op.dim, groups)
+            lam = _match_float_eigenvalue(members, float(lam))
+        members.setdefault(lam, []).append((c, key))
+        for _, i in key:
+            if i not in bases:
+                bp = basis(family, i).poly
+                bases[i] = _univariate(bp if exact else bp.to_double())
+    # Exact terms over one denominator: every key's basis product is brought
+    # from the product of its basis denominators to their lcm over all keys.
+    key_dens = {key: math.prod(bases[i][0] for _, i in key)
+                for items in members.values() for _, key in items}
+    basis_den = math.lcm(*key_dens.values())
+
+    # A key's term is c times its basis polynomials, multiplied out in key
+    # order (the product's loop, earlier variables outer); each group adds its
+    # terms into one map in key order.  The key's variables are distinct, so
+    # its monomials are too; a double product that underflows to zero stays
+    # zero, and _add_terms drops it where the product would have.
+    components: dict[Coef, Polynomial] = {}
+    for lam, items in members.items():
+        out: dict = {}
+        for c, key in items:
+            term = [((), c * (basis_den // key_dens[key]))]
+            for var, i in key:
+                term = [(m + ((var, k),) if k else m, v * b)
+                        for m, v in term for k, b in bases[i][1]]
+            _add_terms(out, term)
+        if out:
+            components[lam] = work._wrap(out, exact, common * den * basis_den)
+    return SpectralDecomposition(family, op.dim, components)
 
 
-def _match_float_eigenvalue(groups: Mapping[Coef, Polynomial], lam: float) -> float:
+def _match_float_eigenvalue(groups: Mapping[Coef, object], lam: float) -> float:
     # Distinct eigenvalues only collide exactly, never approximately, for the
     # families at hand; 1e-9 relative matching just absorbs float roundoff.
     for key in groups:

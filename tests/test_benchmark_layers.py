@@ -1,10 +1,11 @@
-"""The benchmark's chain workloads reach every layer they require.
+"""The benchmark's workloads reach every layer they require.
 
 ``perfbench/run.py --trace 1`` fails a workload when a span named in its
-``expect_called`` records no call.  This runs each chain workload's own code
-path on a small input under the benchmark's tracer, so a change that stops
-calling a required layer (say, an L or Gamma that no longer builds the
-coefficient polynomials that make every ``poly.add`` call) fails here too.
+``expect_called`` records no call, or one in its ``expect_idle`` records
+any.  This runs each workload's own code path on a small input under the
+benchmark's tracer, so a change that stops calling a required layer (say, an
+L or Gamma that no longer builds the coefficient polynomials that make every
+``poly.add`` call) fails here too.
 """
 
 import os
@@ -42,3 +43,17 @@ def test_chain_workloads_call_every_expected_layer(tmp_path):
         uninstall()
     assert [r.n for r in rows] == workloads.N_GRID
     assert tv_bound.SEQUENCES["chaos2"] is tv_bound.pair_product_sequence
+
+
+def test_symbolic_workload_calls_every_expected_layer_and_no_idle_one(tmp_path):
+    symbolic = workloads.SymbolicExact(seed=1, workdir=str(tmp_path))
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        results = symbolic._pass(symbolic.corpus[:2])
+    finally:
+        uninstall()
+    assert _uncalled(tracer, workloads.SymbolicExact.expect_called) == []
+    assert [name for name in workloads.SymbolicExact.expect_idle
+            if name in tracer.stats and tracer.stats[name].calls] == []
+    assert symbolic.check(results) == []

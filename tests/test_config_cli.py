@@ -89,6 +89,7 @@ NEGATIVE_CONFIGS = [
     {"schema": "gamma-lab/1", "scenario": "cw_sweep",
      "family": {"kind": "gaussian"}, "poly": {"dim": 1.5, "terms": "x"},
      "alphas": [0.2, 0.1]},  # a malformed poly (exit 3) after bad alphas (exit 2)
+    dict(BASE_CHAIN, seed=2**64),  # would alias seed 0: a seed is 64 bits
 ]
 
 
@@ -414,7 +415,8 @@ NOT_UTF8 = b"\xff\xfe{}"
     (["generator", "--poly", "{badcoef}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{nodim}", "--family", "gaussian"], EXIT_PRECONDITION),
     # A spec's key=value fields: a misspelled or stray key is an error, and a
-    # seed or sample count follows the config rule (seed >= 0, samples >= 1).
+    # seed or sample count follows the config rule (0 <= seed < 2**64,
+    # samples >= 1).
     (["distance", "--metric", "kol", "--left", "analytic:gaussian:mu=0:sigmaa=3",
       "--right", "analytic:gaussian"], EXIT_CONFIG),
     (["distance", "--metric", "kol", "--left", "poly:@{q}:family=gaussian:sed=4",
@@ -444,6 +446,20 @@ NOT_UTF8 = b"\xff\xfe{}"
     (["generator", "--poly", "{boolvar}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{termkey}", "--family", "gaussian"], EXIT_PRECONDITION),
     (["generator", "--poly", "{recordkey}", "--family", "gaussian"], EXIT_PRECONDITION),
+    # A pooled sample range, or the fm grid over it, wider than float range.
+    (["distance", "--metric", "tv", "--left", "@{wide}", "--right", "@{narrow}"],
+     EXIT_PRECONDITION),
+    (["distance", "--metric", "tv", "--left", "@{wide}", "--right", "analytic:gaussian"],
+     EXIT_PRECONDITION),
+    (["distance", "--metric", "fm", "--left", "@{wide}", "--right", "@{narrow}"],
+     EXIT_PRECONDITION),
+    # A seed above 2**64 - 1 would alias the seed of its low 64 bits.
+    (["run", "--config", "{chain}", "--seed", str(2**64)], EXIT_CONFIG),
+    (["distance", "--metric", "kol", "--left", "poly:@{q}:family=gaussian:n=100",
+      "--right", "analytic:uniform", "--seed", str(2**64)], EXIT_CONFIG),
+    (["distance", "--metric", "kol", "--left",
+      f"poly:@{{q}}:family=gaussian:n=100:seed={2**64}", "--right", "analytic:uniform"],
+     EXIT_CONFIG),
 ])
 def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, argv, code):
     (tmp_path / "notutf8.json").write_bytes(NOT_UTF8)
@@ -460,6 +476,9 @@ def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, argv, code):
         "recordkey": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": 1}], "exact": true}',
         "bigcoef": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": %s}]}' % ("9" * 5000),
         "bigseed": '{"seed": %s}' % ("9" * 5000),
+        "chain": json.dumps(BASE_CHAIN),
+        "wide": "-1e308\n0\n1e308\n5\n",
+        "narrow": "1\n2\n3\n4\n",
         "custom": json.dumps({
             "schema": "gamma-lab/1", "scenario": "custom", "seed": 1,
             "family": {"kind": "gaussian"}, "samples": 2000,
@@ -667,10 +686,13 @@ def test_cli_smoothed_functional(tmp_path):
     ["cw-check", "--seed", "-1"],
     ["smoothed-functional", "--samples", "0"],
     ["smoothed-functional", "--seed", "-1"],
+    ["cw-check", "--seed", str(2**64)],
+    ["smoothed-functional", "--seed", str(2**64)],
 ], ids=["alphas-empty", "alphas-empty-item", "alphas-nan", "eps-word",
         "eps-overflow", "stability-0", "stability-negative", "stability-1",
         "samples-0", "alphas-negative", "alphas-descending", "seed-negative",
-        "smoothed-samples-0", "smoothed-seed-negative"])
+        "smoothed-samples-0", "smoothed-seed-negative", "seed-2-64",
+        "smoothed-seed-2-64"])
 def test_cli_bad_sweep_options_exit_2(tmp_path, capsys, argv):
     qfile = tmp_path / "q.json"
     qfile.write_text(json.dumps(Polynomial.variable(1, 1).to_json_dict()))

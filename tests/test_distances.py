@@ -166,6 +166,20 @@ def test_fm_identical_and_degenerate():
     assert report.estimate == 0.0 and report.params.get("degenerate")
 
 
+def test_range_wider_than_float_range_is_a_precondition():
+    wide = SampleSet(np.array([-1e308, 0.0, 1e308, 5.0]))
+    narrow = SampleSet(np.array([1.0, 2.0, 3.0, 4.0]))
+    for metric, y in ((total_variation, narrow), (total_variation, AnalyticLaw.gaussian()),
+                      (fortet_mourier, narrow)):
+        with pytest.raises(PreconditionError, match=r"\[-1e\+308, 1e\+308\]"):
+            metric(wide, y)
+    # A span that fits but whose padded fm grid does not.
+    edge = SampleSet(np.array([-8.9e307, 8.9e307]))
+    assert total_variation(edge, edge).estimate == 0.0
+    with pytest.raises(PreconditionError, match="fm grid"):
+        fortet_mourier(edge, edge)
+
+
 def test_fm_far_apart_saturates_at_two():
     a = SampleSet(np.zeros(50))
     b = SampleSet(np.full(50, 100.0))

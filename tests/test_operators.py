@@ -1,11 +1,14 @@
 """Generator, carré du champ, spectral and Poincaré machinery."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamma_lab import operators
 from gamma_lab.errors import ConsistencyError, PreconditionError
@@ -34,6 +37,7 @@ from gamma_lab.operators import (
     spectral_gap,
 )
 from gamma_lab.poly import Polynomial, variables
+from gamma_lab.tv_bound import linear_sum_sequence, pair_product_sequence
 
 FAMILIES = [gaussian(), gamma(2), beta(2, 3)]
 
@@ -55,6 +59,102 @@ def random_poly(rng, dim, degree, exact=True):
                 terms.get(tuple(sorted(mono.items())), 0) + coef
             )
     return Polynomial(dim, terms)
+
+
+# -- reference folds ------------------------------------------------------------
+# The operators as they were built from polynomial ring operations, before
+# they wrote their term maps directly; the kernel must match them to the bit
+# and in term order.
+
+
+def reference_apply_generator(op, f):
+    """L f as the sum of A(x_i) d_ii f and B(x_i) d_i f, one polynomial each."""
+    exact = operators._common_exact(op, f)
+    if exact != f.exact:
+        f = f.to_double()
+    parts = []
+    for i in sorted(f.variables()):
+        fi = f.partial(i)
+        parts.append(operators._diffusion_coeff(op, i, exact) * fi.partial(i))
+        parts.append(operators._drift_coeff(op, i, exact) * fi)
+    return Polynomial._sum(op.dim, exact, parts)
+
+
+def reference_carre_du_champ(op, f, g=None):
+    """Gamma(f, g) as the sum of the products A(x_i) * d_i f * d_i g."""
+    if g is None:
+        g = f
+    exact = operators._common_exact(op, f, g)
+    return Polynomial._sum(op.dim, exact, (
+        operators._diffusion_coeff(op, i, exact) * f.partial(i) * g.partial(i)
+        for i in sorted(f.variables() & g.variables())
+    ))
+
+
+def reference_spectral_components(op, f):
+    """The eigenvalue groups as sums of a constant times embedded basis polynomials."""
+    family = op.family
+    exact = operators._common_exact(op, f)
+    work = f if exact == f.exact else f.to_double()
+    den, terms = work.integer_form() if exact else (1, work.terms)
+    rows = []
+    for mono, coef in sorted(terms.items()):
+        per_var = []
+        row_den = 1
+        for var, power in mono:
+            expansion = operators.monomial_in_basis(family, power)
+            if exact:
+                lcm = math.lcm(*(c.denominator for _, c in expansion))
+                row_den *= lcm
+                per_var.append([(var, i, c.numerator * (lcm // c.denominator))
+                                for i, c in expansion])
+            else:
+                per_var.append([(var, i, float(c)) for i, c in expansion])
+        rows.append((coef, row_den, per_var))
+    common = math.lcm(*(row_den for _, row_den, _ in rows))
+    coeffs = {}
+    for coef, row_den, per_var in rows:
+        if exact:
+            coef *= common // row_den
+        for combo in itertools.product(*per_var):
+            key = tuple((var, i) for var, i, _ in combo if i > 0)
+            c = coef
+            for _, _, ci in combo:
+                c = c * ci
+            if c != 0:
+                coeffs[key] = coeffs.get(key, 0) + c
+    groups = {}
+    for key in sorted(coeffs):
+        c = coeffs[key]
+        if c == 0:
+            continue
+        lam = eigenvalue(family, tuple(i for _, i in key))
+        if not exact:
+            lam = operators._match_float_eigenvalue(groups, float(lam))
+        term = Polynomial.constant(Fraction(c, common * den) if exact else c, op.dim, exact)
+        for var, i in key:
+            bp = basis(family, i).poly
+            term = term * (bp if exact else bp.to_double()).embed(var, op.dim)
+        groups[lam] = groups.get(lam, Polynomial.zero(op.dim, exact)) + term
+    return {lam: comp for lam, comp in groups.items() if not comp.is_zero()}
+
+
+def stored(p):
+    """A polynomial as stored: mode, denominator and terms in insertion order,
+    double coefficients as float hex (so equal bits compare equal)."""
+    return (p.dim, p.exact, p._den,
+            [(m, c.hex() if isinstance(c, float) else c) for m, c in p._terms.items()])
+
+
+def assert_kernel_matches_reference(op, f, g):
+    assert stored(apply_generator(op, f)) == stored(reference_apply_generator(op, f))
+    assert stored(carre_du_champ(op, f)) == stored(reference_carre_du_champ(op, f))
+    assert stored(carre_du_champ(op, f, g)) == stored(reference_carre_du_champ(op, f, g))
+    components = spectral_decompose(op, f).components
+    reference = reference_spectral_components(op, f)
+    assert list(components) == list(reference)
+    assert [stored(c) for c in components.values()] == [
+        stored(c) for c in reference.values()]
 
 
 def tensor_eigenfunction(fam, index, dim):
@@ -222,8 +322,8 @@ def test_decompose_example_ou():
     op = DiffusionOperator(gaussian(), 2)
     dec = spectral_decompose(op, x1 * x2 + x1)
     assert dec.eigenvalues() == [1, 2]
-    assert dec.component(1) == x1
-    assert dec.component(2) == x1 * x2
+    assert dec.components[1] == x1
+    assert dec.components[2] == x1 * x2
 
 
 def test_decompose_constant():
@@ -352,3 +452,104 @@ def test_eigenspace_identity_rejects_non_eigenfunction():
     x1, x2 = variables(2)
     with pytest.raises(PreconditionError):
         eigenspace_gamma_identity(op, x1 + x1 * x2)
+
+
+# -- the term-by-term kernel against the reference folds -------------------------
+
+
+params = st.one_of(
+    st.integers(1, 4),
+    st.fractions(min_value=1, max_value=5, max_denominator=7),
+    st.floats(min_value=1.0, max_value=5.0),
+)
+operator_families = st.one_of(
+    st.just(gaussian()),
+    st.builds(gamma, params),
+    st.builds(beta, params, params),
+)
+exact_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+# Down to subnormals and up to near overflow, so products underflow to zero
+# and sums overflow, and the kernel's zero pruning is exercised.
+double_coefficients = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+
+
+@st.composite
+def polynomials(draw, dim):
+    """Up to 8 terms of total degree <= 4 in x1..x{dim}, all exact or all double."""
+    exact = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        exps = {}
+        for _ in range(draw(st.integers(0, 4))):
+            var = draw(st.integers(1, dim))
+            exps[var] = exps.get(var, 0) + 1
+        terms[tuple(sorted(exps.items()))] = draw(
+            exact_coefficients if exact else double_coefficients)
+    return Polynomial(dim, terms, exact)
+
+
+@st.composite
+def operator_inputs(draw):
+    dim = draw(st.integers(1, 4))
+    return (DiffusionOperator(draw(operator_families), dim),
+            draw(polynomials(dim)), draw(polynomials(dim)))
+
+
+@settings(max_examples=300)
+@given(operator_inputs())
+def test_kernel_matches_reference_fold(inputs):
+    assert_kernel_matches_reference(*inputs)
+
+
+CHAIN_FAMILIES = [gaussian(), beta(2, 2), gamma(2), beta(2.5, 3.0), gamma(2.5)]
+
+
+@pytest.mark.parametrize("fam", CHAIN_FAMILIES, ids=str)
+@pytest.mark.parametrize("sequence", [linear_sum_sequence, pair_product_sequence])
+def test_kernel_matches_reference_fold_on_chain_elements(fam, sequence):
+    q = sequence(fam, 4)
+    op = DiffusionOperator(fam, q.dim)
+    gq = carre_du_champ(op, q)
+    for f, g in ((q, gq), (gq, q), (q * q, q)):
+        assert_kernel_matches_reference(op, f, g)
+
+
+def test_kernel_matches_reference_fold_on_exact_compositions():
+    rng = random.Random(7)
+    for fam in FAMILIES:
+        op = DiffusionOperator(fam, 3)
+        for _ in range(5):
+            f = random_poly(rng, 3, 4)
+            g = carre_du_champ(op, f)
+            assert_kernel_matches_reference(op, f * f, g)
+            assert_kernel_matches_reference(op, g, f.to_double())
+
+
+def test_kernel_matches_reference_fold_on_underflowing_products():
+    # Subnormal coefficients times basis or A/B coefficients below 1 round to
+    # zero; the fold drops such a term, and a later sum into its monomial
+    # goes to the end of the term order.  Under beta(2.9, 3) B(x_1) is
+    # 0.1 - 5.9 x_1, and 0.1 * 1e-323 is 0.0 at x1 x2 before 1.0 * -5.9
+    # lands there.
+    for fam in FAMILIES + [beta(2.5, 3.0), beta(2.9, 3.0)]:
+        op = DiffusionOperator(fam, 2)
+        f = Polynomial(2, {((1, 2), (2, 1)): 5e-324, ((1, 1), (2, 1)): 1.0,
+                           ((1, 2), (2, 2)): 5e-324, ((1, 3),): -1e-323,
+                           ((2, 1),): 3.0}, exact=False)
+        assert_kernel_matches_reference(op, f, f.scale(0.25))
+        assert_kernel_matches_reference(op, f, Polynomial(2, {((1, 1),): 5e-324}, False))
+
+
+def test_kernel_mixed_mode_conversion_matches_reference_fold():
+    # An exact derivative coefficient is rounded once in a double result: to
+    # 0.0 when it is tiny, which is never stored, and beyond float range it is
+    # a precondition error, as in a double product.
+    d = Polynomial(2, {((1, 1), (2, 1)): 0.5, ((1, 2),): -2.0}, exact=False)
+    tiny = Polynomial(2, {((1, 2),): Fraction(1, 10**400), ((1, 1), (2, 1)): 3})
+    for fam in FAMILIES:
+        op = DiffusionOperator(fam, 2)
+        assert stored(carre_du_champ(op, tiny, d)) == stored(reference_carre_du_champ(op, tiny, d))
+        assert stored(carre_du_champ(op, d, tiny)) == stored(reference_carre_du_champ(op, d, tiny))
+    huge = Polynomial(2, {((1, 1),): 10**400})
+    with pytest.raises(PreconditionError, match="beyond float range"):
+        carre_du_champ(DiffusionOperator(gaussian(), 2), huge, d)
