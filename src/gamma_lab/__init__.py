@@ -53,7 +53,6 @@ from .anticoncentration import (
     SmallBallCurve,
     carbery_wright_check,
     kappa_fit,
-    small_ball,
     smoothed_indicator_functional,
 )
 from .tv_bound import (

@@ -81,18 +81,6 @@ def _check_alphas(alphas) -> np.ndarray:
     return alphas
 
 
-def small_ball(
-    q: Polynomial, family: MeasureFamily, alphas, n: int, seed: int
-) -> SmallBallCurve:
-    """Estimate mu{|Q| <= alpha} under ``family``^q.dim, with binomial standard errors."""
-    alphas = _check_alphas(alphas)
-    degree = q.degree()
-    if degree is None or degree < 1:
-        raise PreconditionError("small_ball requires a nonconstant polynomial")
-    probs, stderrs = _ball_probs(q, family, alphas, n, seed, "small-ball")
-    return SmallBallCurve(alphas, probs, stderrs, n)
-
-
 def carbery_wright_check(
     q: Polynomial,
     family: MeasureFamily,
@@ -101,8 +89,8 @@ def carbery_wright_check(
     seed: int,
     stability_factor: int | None = 10,
 ) -> CWReport:
-    """Ratio curve and fitted c_hat for the small-ball inequality under
-    ``family``^q.dim.
+    """The small-ball curve (``curve``), its ratio curve and fitted c_hat for
+    the small-ball inequality under ``family``^q.dim.
 
     ``stability_factor`` triggers a second, larger run whose c_hat must stay
     within a factor 2 of the first (``stable``); pass None to skip it.
@@ -185,8 +173,8 @@ def smoothed_indicator_functional(
     computed symbolically.
     """
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-    if np.any(eps_arr <= 0):
-        raise PreconditionError("eps must be positive")
+    if not np.all((eps_arr > 0) & np.isfinite(eps_arr)):
+        raise PreconditionError("eps must be positive and finite")
     est, se = _smoothed_indicator(_gamma_values(q, family, n, seed), eps_arr)
     if np.isscalar(eps) or np.ndim(eps) == 0:
         return float(est[0]), float(se[0])

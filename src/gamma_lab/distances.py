@@ -506,6 +506,5 @@ def functional_samples(
     q: Polynomial, family: MeasureFamily, n: int, seed: int, *labels
 ) -> SampleSet:
     """n draws of q(X_1, ..., X_m), m = q.dim, with i.i.d. ``family`` coordinates."""
-    values = functional_values(q, family, n, seed, *labels)
-    values.flags.writeable = False  # adopted by the SampleSet, not copied
-    return SampleSet(values, provenance=f"{family.label()};m={q.dim}")
+    return SampleSet(functional_values(q, family, n, seed, *labels),
+                     provenance=f"{family.label()};m={q.dim}")

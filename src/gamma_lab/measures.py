@@ -33,8 +33,8 @@ moment-based three-term recurrence
 which is exact in rational mode and uniform across families; squared norms
 are exposed separately (``BasisPolynomial.norm2``).
 
-Every Monte-Carlo pool is drawn by :func:`draw_pool`; every column of one
-polynomial over a pool is computed by :func:`functional_values`.
+Every Monte-Carlo pool is drawn by :func:`draw_pool`, and every estimate
+evaluates its polynomials over one in :func:`pool_pass`, chunk-parallel.
 
 The module imports numpy and no scipy: nothing here needs a family's
 density or CDF.  Those serve only as test oracles and live with the tests
@@ -80,7 +80,9 @@ import numpy as np
 
 from .errors import PreconditionError
 from .poly import Coef, Polynomial
-from .sampling import BLOCK_ROWS, SLAB_ROWS, chunk_edges, generator, substream
+from .sampling import (
+    BLOCK_ROWS, SLAB_ROWS, chunk_edges, generator, ordered_map, substream,
+)
 
 Param = Union[Fraction, float]
 
@@ -400,9 +402,9 @@ def _order_statistic(u: np.ndarray, a: int) -> np.ndarray:
     A compare-exchange network of min(a, b) passes, with b = n + 1 - a for
     n entries.  For a <= b each pass but the last sweeps the running minimum
     through the remaining entries, leaving the larger value of each
-    comparison in place, and drops the minimum; after a - 1 such passes the
-    a-th smallest is the minimum of the rest.  For a > b the same runs with
-    maxima, b - 1 drops and a final maximum.
+    comparison in place, and drops the minimum without writing it; after
+    a - 1 such passes the a-th smallest is the minimum of the rest.  For
+    a > b the same runs with maxima, b - 1 drops and a final maximum.
     """
     n = u.shape[-1]
     b = n + 1 - a
@@ -411,10 +413,11 @@ def _order_statistic(u: np.ndarray, a: int) -> np.ndarray:
     bufs = (np.empty(u.shape[:-1]), np.empty(u.shape[:-1]))
     for _ in range(min(a, b) - 1):
         head, *cols = cols
-        for i, c in enumerate(cols):
+        for i, c in enumerate(cols[:-1]):
             drop(head, c, out=bufs[i % 2])
             keep(head, c, out=c)
             head = bufs[i % 2]
+        keep(head, cols[-1], out=cols[-1])
     head, *cols = cols
     for c in cols:
         head = drop(head, c, out=bufs[0])
@@ -434,12 +437,13 @@ def draw_pool(
 ) -> list[tuple[int, int, Iterator[tuple[int, int, np.ndarray]]]]:
     """The (start, stop, blocks) chunks of an (n, width) i.i.d. pool.
 
-    The one sampling pass of the package: every Monte-Carlo estimate draws
-    its pool here.  ``blocks`` draws its chunk lazily from the chunk's own
-    generator, ``BLOCK_ROWS`` rows at a time, yielding (lo, hi, X[lo:hi]).
-    Each X[lo:hi] is a column-major (rows, width) view on a fresh buffer:
-    index it by column, and keep it if needed.  Output depends only on
-    ``stream`` and ``n``, never on how chunks are consumed or parallelized.
+    Every Monte-Carlo pool is drawn here: :func:`pool_pass` evaluates
+    polynomials over it, and :func:`sample` returns it.  ``blocks`` draws
+    its chunk lazily from the chunk's own generator, ``BLOCK_ROWS`` rows at
+    a time, yielding (lo, hi, X[lo:hi]).  Each X[lo:hi] is a column-major
+    (rows, width) view on a fresh buffer: index it by column, and keep it
+    if needed.  Output depends only on ``stream`` and ``n``, never on how
+    chunks are consumed or parallelized.
     """
     if n < 1:
         raise PreconditionError("sample count must be >= 1")
@@ -472,18 +476,60 @@ def _draw_blocks(family: MeasureFamily, width: int, lo: int, hi: int, rng):
         del buf
 
 
-def _pool_blocks(family: MeasureFamily, dim: int, n: int, seed: int, labels) -> Iterator:
-    """The (lo, hi, X[lo:hi]) blocks of the ``("vector-samples", *labels)``
-    pool, in row order; a bad ``n`` raises here, before the first block."""
-    pool = draw_pool(family, dim, n, substream(seed, "vector-samples", *labels))
-    return (block for _, _, blocks in pool for block in blocks)
-
-
 def sample(family: MeasureFamily, dim: int, n: int, seed: int, *labels) -> np.ndarray:
-    """n i.i.d. draws of the dim-dimensional vector, shape (n, dim) float64."""
+    """n i.i.d. draws of the dim-dimensional vector, shape (n, dim) float64.
+
+    The pool is that of the ``("vector-samples", *labels)`` stream.
+    """
     if dim < 1:
         raise PreconditionError("sample dimension must be >= 1")
-    return np.concatenate([x for _, _, x in _pool_blocks(family, dim, n, seed, labels)])
+    pool = draw_pool(family, dim, n, substream(seed, "vector-samples", *labels))
+    return np.concatenate([x for _, _, blocks in pool for _, _, x in blocks])
+
+
+def pool_pass(
+    family: MeasureFamily, n: int, stream: np.random.SeedSequence, columns, sums=(),
+    threads: int = 1,
+) -> tuple[list[np.ndarray], list[tuple[float, float]]]:
+    """Evaluate polynomials over the (n, width) pool of ``stream``: (columns, sums).
+
+    The pool is drawn once by :func:`draw_pool`, its width the largest
+    ``p.dim``, and each polynomial p reads its leading p.dim columns.  Each
+    (p, k) pair of ``columns`` gives a read-only column of p's values on the
+    first k rows.  Each p of ``sums`` gives (sum |p|, sum p^2) over all n
+    rows: each chunk sums its whole chunk, so the sums do not depend on the
+    block size, and the chunk sums are added in chunk order.  Chunks run on
+    up to ``threads`` workers; nothing returned depends on ``threads``.
+    Values that overflow to inf or NaN pass through unflagged: a caller
+    checks what it needs finite.
+    """
+    width = max(p.dim for p in [*(p for p, _ in columns), *sums])
+    pool = draw_pool(family, width, n, stream)
+    values = [np.empty(k) for _, k in columns]
+
+    def pass_chunk(chunk):
+        c_lo, c_hi, blocks = chunk
+        parts = [np.empty(c_hi - c_lo) for _ in sums]
+        # numpy's error state is per thread, so each worker sets its own.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi, block in blocks:
+                for (p, k), vals in zip(columns, values):
+                    if lo < k:
+                        top = min(hi, k)
+                        vals[lo:top] = p.evaluate_batch(block[:top - lo, :p.dim])
+                for p, part in zip(sums, parts):
+                    part[lo - c_lo:hi - c_lo] = p.evaluate_batch(block[:, :p.dim])
+                block = None  # let the block go before the next one is drawn
+            for a in parts:
+                np.abs(a, out=a)
+            return [(float(a.sum()), float((a * a).sum())) for a in parts]
+
+    totals = [(0.0, 0.0)] * len(sums)
+    for chunk_sums in ordered_map(pass_chunk, pool, threads):
+        totals = [(s + cs, sq + csq) for (s, sq), (cs, csq) in zip(totals, chunk_sums)]
+    for vals in values:
+        vals.flags.writeable = False  # so a SampleSet adopts it without a copy
+    return values, totals
 
 
 def functional_values(
@@ -491,13 +537,11 @@ def functional_values(
 ) -> np.ndarray:
     """q(X) for n draws of X ~ ``family``^q.dim, shape (n,), on the pool of ``sample``.
 
-    A value that overflows to inf or NaN is a ``PreconditionError``.
+    The column is read-only.  A value that overflows to inf or NaN is a
+    ``PreconditionError``.
     """
-    blocks = _pool_blocks(family, q.dim, n, seed, labels)
-    values = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, x in blocks:
-            values[lo:hi] = q.evaluate_batch(x)
+    stream = substream(seed, "vector-samples", *labels)
+    (values,), _ = pool_pass(family, n, stream, [(q, n)])
     if not np.isfinite(values).all():
         raise PreconditionError(f"non-finite polynomial value under {family.label()}")
     return values

@@ -24,9 +24,9 @@ bit-identical output.  ``measures.draw_pool`` spawns the chunk streams:
 every pool is drawn through it.
 
 :func:`ordered_map` is the one parallel map of the package.  It runs the
-chain experiment's replicates, and inside each replicate the chunks of its
-pool pass; results come back in item order, so every reduction over them
-adds in the same order at any thread count.
+chain experiment's replicates and the chunks of every pool pass
+(``measures.pool_pass``); results come back in item order, so every
+reduction over them adds in the same order at any thread count.
 """
 
 from __future__ import annotations

@@ -26,17 +26,18 @@ A chain replicate runs in three stages, with one ``_Chain`` record between
 them:
 
 - prepare (``_prepare_chain``) owns every input check and the symbolic
-  parts: Gamma(Q), LQ and the exact E[Gamma(Gamma(Q))] of each element.
-  It draws nothing.
-- the pool pass (``_pool_pass``) owns the one draw: Q and Gamma(Q) values
-  and the |LQ| sums, chunk by chunk, added in chunk order.
+  parts: Gamma(Q), LQ and the exact E[Gamma(Gamma(Q))] of each element,
+  and the columns the pool pass fills.  It draws nothing.
+- the pool pass (``measures.pool_pass``, the one every Monte-Carlo
+  estimate runs) owns the one draw: Q and Gamma(Q) values and the |LQ|
+  sums, chunk by chunk, added in chunk order.
 - rows (``_chain_rows``) owns the estimates: the kappa envelope, FM, TV and
   its noise floor, the optimized bound and the consistency gate.
 
 A replicate keeps one copy of each value column.  The pool pass marks
-every Q column read-only when it is filled, so each ``SampleSet`` of the
-rows stage reads it in place, and FM bins it a slice at a time.  The
-per-replicate footprint is therefore
+every column read-only when it is filled, so each ``SampleSet`` of the
+rows stage reads its Q column in place, and FM bins it a slice at a
+time.  The per-replicate footprint is therefore
 
     elements x samples x 8 bytes          (Q values)
     + elements x kappa rows x 8 bytes     (Gamma(Q) values for the kappa fit)
@@ -65,15 +66,15 @@ from .distances import SampleSet, fortet_mourier, histogram_tv_floor, total_vari
 from .errors import ConsistencyError, DegenerateFunctionalError, PreconditionError
 from .measures import (
     MeasureFamily,
-    draw_pool,
     expectation,
     finite_float,
     functional_values,
+    pool_pass,
     variance,
 )
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .poly import Polynomial
-from .sampling import ordered_map, substream
+from .sampling import substream
 
 TWO_SQRT_2_OVER_PI = 2.0 * math.sqrt(2.0 / math.pi)
 # Smallest pool of a chain replicate: ceil(1000^(1/3)) = 10 histogram bins.
@@ -313,7 +314,8 @@ def run_chain_replicate(
     raise PreconditionError.
     """
     chain = _prepare_chain(builder, family, n_grid, n_samples)
-    pool = _pool_pass(chain, family, n_samples, seed, threads)
+    pool = pool_pass(family, n_samples, substream(seed, "chain-pool"), chain.columns,
+                     chain.lqs, threads)
     return _chain_rows(chain, *pool)
 
 
@@ -325,7 +327,9 @@ class _Chain:
     elements: list
     dims: list
     degree: int  # the largest element degree, the bound's d
-    gammas: tuple  # Gamma(Q) per element
+    # The pool pass's columns: each Q on all rows, then each Gamma(Q) on the
+    # first KAPPA_SAMPLES rows, for the kappa fit.
+    columns: list
     lqs: tuple  # LQ per element
     e_gamma_gammas: tuple  # E[Gamma(Gamma(Q))] per element, exact moment engine
 
@@ -372,63 +376,24 @@ def _prepare_chain(builder, family: MeasureFamily, n_grid, n_samples: int) -> _C
         _gamma_parts(op_cache[m], q, f"chain element n={n}")
         for n, q, m in zip(n_grid, elements, dims)
     ))
-    return _Chain(n_grid, elements, dims, max(degrees), gammas, lqs, e_gamma_gammas)
-
-
-def _pool_pass(chain: _Chain, family: MeasureFamily, n_samples: int, seed: int,
-               threads: int):
-    """One pass over a shared pool: (Q values, Gamma(Q) values, E|LQ|, its se).
-
-    Every element's Q values on all rows, its Gamma(Q) values on the first
-    ``KAPPA_SAMPLES`` rows for the kappa fit, and |LQ| sums.  Chunks run on
-    up to ``threads`` workers.  Each sums |LQ| once over its whole chunk, so
-    the sums do not depend on the block size, and the chunk sums are added
-    in chunk order.
-    """
-    elements, dims, gammas, lqs = chain.elements, chain.dims, chain.gammas, chain.lqs
     k_rows = min(KAPPA_SAMPLES, n_samples)
-    f_vals = [np.empty(n_samples) for _ in elements]
-    gam_vals = [np.empty(k_rows) for _ in elements]
-
-    def pass_chunk(chunk):
-        c_lo, c_hi, blocks = chunk
-        abs_lq = [np.empty(c_hi - c_lo) for _ in elements]
-        for lo, hi, block in blocks:
-            take = min(hi, k_rows) - lo
-            for idx, (q, m) in enumerate(zip(elements, dims)):
-                sub = block[:, :m]
-                f_vals[idx][lo:hi] = q.evaluate_batch(sub)
-                abs_lq[idx][lo - c_lo:hi - c_lo] = lqs[idx].evaluate_batch(sub)
-                if take > 0:
-                    gam_vals[idx][lo:lo + take] = gammas[idx].evaluate_batch(sub[:take])
-            block = sub = None  # let the block go before the next one is drawn
-        for a in abs_lq:
-            np.abs(a, out=a)
-        return [(float(a.sum()), float((a * a).sum())) for a in abs_lq]
-
-    pool = draw_pool(family, max(dims), n_samples, substream(seed, "chain-pool"))
-    lq_sum = [0.0] * len(elements)
-    lq_sumsq = [0.0] * len(elements)
-    for sums in ordered_map(pass_chunk, pool, threads):
-        for idx, (s, sq) in enumerate(sums):
-            lq_sum[idx] += s
-            lq_sumsq[idx] += sq
-
-    for vals in f_vals:
-        vals.flags.writeable = False  # so each SampleSet reads it in place
-    e_abs_lqs = [s / n_samples for s in lq_sum]
-    lq_ses = [
-        math.sqrt(max(sq / n_samples - m * m, 0.0) / n_samples)
-        for sq, m in zip(lq_sumsq, e_abs_lqs)
-    ]
-    return f_vals, gam_vals, e_abs_lqs, lq_ses
+    columns = [(q, n_samples) for q in elements] + [(g, k_rows) for g in gammas]
+    return _Chain(n_grid, elements, dims, max(degrees), columns, lqs, e_gamma_gammas)
 
 
-def _chain_rows(chain: _Chain, f_vals, gam_vals, e_abs_lqs, lq_ses) -> list[ChainRow]:
-    """The kappa envelope, FM/TV/floor per element, the bound and its gate."""
-    budgets = [gg + lq for gg, lq in zip(chain.e_gamma_gammas, e_abs_lqs)]
+def _chain_rows(chain: _Chain, values, lq_sums) -> list[ChainRow]:
+    """The kappa envelope, FM/TV/floor per element, the bound and its gate.
+
+    ``values`` are the columns of ``chain.columns`` and ``lq_sums`` the
+    (sum |LQ|, sum LQ^2) of each element, as the pool pass returns them.
+    """
+    f_vals, gam_vals = values[:len(chain.elements)], values[len(chain.elements):]
+    n_samples = f_vals[0].size
+    budgets = [gg + s / n_samples for gg, (s, _) in zip(chain.e_gamma_gammas, lq_sums)]
     sup_idx = int(np.argmax(budgets))
     budget_sup = budgets[sup_idx]
+    lq_mean, lq_sq = (s / n_samples for s in lq_sums[sup_idx])
+    lq_se = math.sqrt(max(lq_sq - lq_mean * lq_mean, 0.0) / n_samples)
     d = chain.degree
     kappa = kappa_envelope(gam_vals, d)
 
@@ -440,9 +405,7 @@ def _chain_rows(chain: _Chain, f_vals, gam_vals, e_abs_lqs, lq_ses) -> list[Chai
         tv = total_variation(cur, ref)
         floor = histogram_tv_floor(ref, tv)
         report = optimize_bound(fm.estimate, kappa, d, budget_sup)
-        se_bound = (
-            TWO_SQRT_2_OVER_PI * (report.alpha / report.eps) * lq_ses[sup_idx]
-        )
+        se_bound = TWO_SQRT_2_OVER_PI * (report.alpha / report.eps) * lq_se
         pooled_se = math.sqrt(tv.uncertainty**2 + se_bound**2)
         if tv.estimate > report.total + SLACK_SIGMAS * pooled_se:
             raise ConsistencyError(

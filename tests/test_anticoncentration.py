@@ -10,7 +10,6 @@ from gamma_lab.anticoncentration import (
     DEFAULT_EPS_GRID,
     carbery_wright_check,
     kappa_fit,
-    small_ball,
     smoothed_indicator_functional,
 )
 from gamma_lab.errors import PreconditionError
@@ -27,6 +26,11 @@ def x1x2():
 
 
 # -- small ball -----------------------------------------------------------------
+
+
+def small_ball(q, family, alphas, n, seed):
+    """The small-ball curve mu{|Q| <= alpha}, as carbery_wright_check estimates it."""
+    return carbery_wright_check(q, family, alphas, n, seed, stability_factor=None).curve
 
 
 def test_small_ball_gaussian_coordinate():
@@ -48,10 +52,8 @@ def test_small_ball_monotone_on_shared_samples():
     assert np.all((curve.probs >= 0) & (curve.probs <= 1))
 
 
-def test_small_ball_requires_nonconstant():
-    with pytest.raises(PreconditionError):
-        small_ball(Polynomial.constant(1, 1), GAUSSIAN, np.array([0.1]), 100, 1)
-    with pytest.raises(PreconditionError):
+def test_small_ball_requires_ascending_alphas():
+    with pytest.raises(PreconditionError, match="strictly ascending"):
         small_ball(X1, GAUSSIAN, np.array([0.3, 0.2]), 100, 1)
 
 
@@ -163,6 +165,13 @@ def test_smoothed_functional_monotone_in_eps():
 def test_smoothed_functional_large_eps_limit():
     est, _ = smoothed_indicator_functional(x1x2(), GAUSSIAN, 1e6, n=50_000, seed=12)
     assert est == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, [0.1, math.nan]],
+                         ids=["nan", "inf", "grid-with-nan"])
+def test_smoothed_functional_refuses_non_finite_eps(eps):
+    with pytest.raises(PreconditionError, match="eps must be positive and finite"):
+        smoothed_indicator_functional(x1x2(), GAUSSIAN, eps, n=1_000, seed=12)
 
 
 # -- kappa fit ------------------------------------------------------------------------

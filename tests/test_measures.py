@@ -24,12 +24,15 @@ from gamma_lab.measures import (
     gamma,
     gaussian,
     monomial_in_basis,
+    pool_pass,
     raw_moment,
     sample,
     variance,
 )
 from gamma_lab.poly import Polynomial, variables
-from gamma_lab.sampling import BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, generator, substream
+from gamma_lab.sampling import (
+    BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, chunk_edges, generator, substream,
+)
 
 FAMILIES = [gaussian(), gamma(1), gamma(2), beta(1, 1), beta(2, 2), beta(2, 3)]
 
@@ -322,6 +325,21 @@ def test_draw_path_dispatch():
     assert np.array_equal(gamma(3).draw(rng(), shape), e[..., 0] + e[..., 1] + e[..., 2])
 
 
+@pytest.mark.parametrize("terms", range(1, BETA_ORDER_MAX + 1))
+def test_beta_construction_is_the_sorted_uniform(terms):
+    # Every beta(a, b) with a + b - 1 = terms uniforms draws the a-th
+    # smallest of them, byte for byte.
+    shape = (300, 4)
+
+    def rng():
+        return generator(substream(9, "order", terms))
+
+    u = np.sort(rng().random((*shape, terms)))
+    for a in range(1, terms + 1):
+        drawn = beta(a, terms + 1 - a).draw(rng(), shape)
+        assert drawn.tobytes() == (1.0 - 2.0 * u[..., a - 1]).tobytes()
+
+
 def test_exact_and_float_families_keep_separate_moments():
     # gamma(1) and gamma(1.0) are one law in two arithmetic modes: a float
     # moment cached for one must not come back for the other.
@@ -390,6 +408,49 @@ def test_functional_values_are_the_polynomial_on_the_sample_pool():
     values = functional_values(q, fam, n, 5, "label")
     assert values.shape == (n,)
     assert np.array_equal(values, q.evaluate_batch(sample(fam, 3, n, 5, "label")))
+
+
+def test_pool_pass_columns_and_sums_at_any_thread_count():
+    # Five chunks, the last one partial; columns over all rows, over rows
+    # that end inside a block of the second chunk, and inside the first block.
+    fam = beta(2, 2)
+    x1, x2, x3 = variables(3, exact=False)
+    p, r = x1 * x2 + x3 * x3 * x3 - 0.5, x2 - 0.25 * x1 * x3
+    n = 4 * CHUNK_ROWS + BLOCK_ROWS + 77
+    columns, sums = [(p, n), (r, CHUNK_ROWS + BLOCK_ROWS + 5), (p, 5)], [r, p]
+
+    def run(columns, sums=(), threads=1):
+        return pool_pass(fam, n, substream(3, "pass"), columns, sums, threads)
+
+    values, totals = run(columns, sums)
+    for threads in (2, 3):
+        other, other_totals = run(columns, sums, threads)
+        assert [v.tobytes() for v in other] == [v.tobytes() for v in values]
+        assert other_totals == totals
+    for (q, k), vals in zip(columns, values):
+        (alone,), _ = run([(q, k)])
+        assert vals.shape == (k,) and not vals.flags.writeable
+        assert alone.tobytes() == vals.tobytes()
+    # Each chunk sums |q| and q^2 over its whole chunk; the chunk sums are
+    # added in chunk order.
+    for q, (total, total_sq) in zip(sums, totals):
+        (full,), _ = run([(q, n)])
+        expected = expected_sq = 0.0
+        for lo, hi in chunk_edges(n):
+            chunk = np.abs(full[lo:hi])
+            expected += float(chunk.sum())
+            expected_sq += float((chunk * chunk).sum())
+        assert (total, total_sq) == (expected, expected_sq)
+
+
+def test_pool_pass_workers_ignore_overflow():
+    # numpy's error state is per thread: a worker sets its own, so an
+    # overflow warns in no thread and the value reaches the caller as inf.
+    q = Polynomial(1, {((1, 3),): 1e308}, exact=False)
+    n = 2 * CHUNK_ROWS
+    (values,), ((total, _),) = pool_pass(gaussian(), n, substream(1, "inf"), [(q, n)],
+                                         [q], threads=2)
+    assert np.isinf(values).any() and total == math.inf
 
 
 def test_construction_terms_resolve_once_per_family(monkeypatch):

@@ -291,10 +291,10 @@ def test_budget_bounded_along_gaussian_clt_sequence():
 @pytest.fixture
 def no_draw(monkeypatch):
     """A chain replicate that reaches the pool pass fails loudly."""
-    def draw_pool(*args, **kwargs):
+    def pool_pass(*args, **kwargs):
         raise AssertionError("the prepare stage let a bad chain reach the pool pass")
 
-    monkeypatch.setattr(tv_bound, "draw_pool", draw_pool)
+    monkeypatch.setattr(tv_bound, "pool_pass", pool_pass)
 
 
 def test_chain_rejects_degenerate_limit(no_draw):
@@ -429,13 +429,13 @@ def test_chain_rows_read_the_value_columns_in_place():
     chain = tv_bound._prepare_chain(
         lambda n: linear_sum_sequence(fam, n), fam, [2, 4, 8, 16, 32], n_samples
     )
-    f_vals, gam_vals, e_abs_lqs, lq_ses = tv_bound._pool_pass(
-        chain, fam, n_samples, seed=1, threads=1
+    values, lq_sums = tv_bound.pool_pass(
+        fam, n_samples, substream(1, "chain-pool"), chain.columns, chain.lqs
     )
-    columns = sum(v.nbytes for v in f_vals) + sum(v.nbytes for v in gam_vals)
+    columns = sum(v.nbytes for v in values)
     tracemalloc.start()
     try:
-        tv_bound._chain_rows(chain, f_vals, gam_vals, e_abs_lqs, lq_ses)
+        tv_bound._chain_rows(chain, values, lq_sums)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
