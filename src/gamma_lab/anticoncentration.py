@@ -76,6 +76,8 @@ def _ball_probs(
 
 def _check_alphas(alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float)
+    if not np.isfinite(alphas).all():  # a NaN passes both comparisons below
+        raise PreconditionError("alphas must be finite")
     if alphas.size == 0 or np.any(alphas <= 0) or np.any(np.diff(alphas) <= 0):
         raise PreconditionError("alphas must be positive and strictly ascending")
     return alphas

@@ -454,47 +454,74 @@ def bounded_lipschitz_grid_value(w: np.ndarray, step: float) -> float:
     """Exact max of sum_j w_j h_j over |h_j| <= 1, |h_{j+1} - h_j| <= step.
 
     Dynamic program from the right over concave piecewise-linear value
-    functions V_j(h): a sliding-window max (the Lipschitz cone), a clip to
+    functions V_j(h), kept as breakpoints ``xs[s:e]`` and values
+    ``vs[s:e]``: a sliding-window max (the Lipschitz cone), a clip to
     [-1, 1], and a linear tilt by w_j h per grid point.  Runs of zero-weight
     points collapse into a single widened window step.
+
+    The window max splits V at its peak run, shifts the rising part left
+    and the falling part right by the half-width, and joins the two by a
+    plateau.  The falling part stays in place and the rising part is
+    written next to it, so the live range starts at most one slot further
+    left per step and never ends further right.  The clip values at -1 and
+    1 follow ``np.interp``'s own formula, so every breakpoint is the one
+    the array-building form of this program computes, bit for bit.
     """
     w = np.asarray(w, dtype=float)
     nz = np.flatnonzero(w)
     if nz.size == 0:
         return 0.0
-    xs = np.array([-1.0, 1.0])
-    vs = w[nz[-1]] * xs
-    prev = nz[-1]
-    for j in nz[-2::-1]:
-        xs, vs = _window_max_clip(xs, vs, (prev - j) * step)
-        vs = vs + w[j] * xs
+    cap = nz.size + 1
+    xs, vs, tilt = np.empty(cap), np.empty(cap), np.empty(cap)
+    s, e = cap - 2, cap
+    xs[s:] = (-1.0, 1.0)
+    np.multiply(xs[s:], w[nz[-1]], out=vs[s:])
+    prev = int(nz[-1])
+    for j in nz[-2::-1].tolist():
+        half = (prev - j) * step
         prev = j
-    return float(vs.max())
+        # The window max: the first and last index of the peak run.
+        live = vs[s:e]
+        k_lo = s + int(live.argmax())
+        k_hi = e - 1 - int(live[::-1].argmax())
+        vmax = vs[k_lo]
+        if vmax == 0.0:  # of zeros of both signs, max() may pick another than argmax()
+            vmax = live.max()
+        s_new = s + k_hi - 1 - k_lo
+        np.subtract(xs[s:k_lo + 1], half, out=xs[s_new:k_hi])
+        vs[s_new:k_hi] = vs[s:k_lo + 1]
+        vs[k_hi - 1] = vs[k_hi] = vmax
+        np.add(xs[k_hi:e], half, out=xs[k_hi:e])
+        s = s_new
+        # The clip: xs[s] <= -1 and xs[e - 1] >= 1 after the shifts, so the
+        # points inside (-1, 1) are xs[a:b].
+        a = s + 1
+        while xs[a] <= -1.0:
+            a += 1
+        b = e - 1
+        while xs[b - 1] >= 1.0:
+            b -= 1
+        lo_val = _interp_at(-1.0, xs, vs, a - 1)
+        k = b
+        while k + 1 < e and xs[k + 1] == 1.0:
+            k += 1
+        hi_val = _interp_at(1.0, xs, vs, k if xs[b] == 1.0 else b - 1)
+        s, e = a - 1, b + 1
+        xs[s], vs[s], xs[b], vs[b] = -1.0, lo_val, 1.0, hi_val
+        # The tilt by w_j h.
+        np.multiply(xs[s:e], w[j], out=tilt[:e - s])
+        vs[s:e] += tilt[:e - s]
+    return float(vs[s:e].max())
 
 
-def _window_max_clip(
-    xs: np.ndarray, vs: np.ndarray, halfwidth: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """M(h) = max_{|u - h| <= halfwidth} V(u), restricted back to [-1, 1].
-
-    For concave V this splits V at its peak, shifts the rising part left and
-    the falling part right, and inserts a plateau of width 2*halfwidth.
-    """
-    vmax = vs.max()
-    peak = np.flatnonzero(vs == vmax)
-    k_lo, k_hi = peak[0], peak[-1]
-    new_xs = np.concatenate(
-        [xs[:k_lo] - halfwidth,
-         [xs[k_lo] - halfwidth, xs[k_hi] + halfwidth],
-         xs[k_hi + 1:] + halfwidth]
-    )
-    new_vs = np.concatenate([vs[:k_lo], [vmax, vmax], vs[k_hi + 1:]])
-    lo_val = np.interp(-1.0, new_xs, new_vs)
-    hi_val = np.interp(1.0, new_xs, new_vs)
-    inside = (new_xs > -1.0) & (new_xs < 1.0)
-    out_xs = np.concatenate([[-1.0], new_xs[inside], [1.0]])
-    out_vs = np.concatenate([[lo_val], new_vs[inside], [hi_val]])
-    return out_xs, out_vs
+def _interp_at(x: float, xs: np.ndarray, vs: np.ndarray, j: int) -> float:
+    """``np.interp(x, xs, vs)`` where j is the last index with xs[j] <= x,
+    inside the array, and xs[j + 1] exists unless xs[j] == x."""
+    xj, vj = xs[j], vs[j]
+    if xj == x:
+        return vj
+    slope = (vs[j + 1] - vj) / (xs[j + 1] - xj)
+    return slope * (x - xj) + vj
 
 
 # ---------------------------------------------------------------------------

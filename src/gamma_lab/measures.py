@@ -81,7 +81,8 @@ import numpy as np
 from .errors import PreconditionError
 from .poly import Coef, Polynomial
 from .sampling import (
-    BLOCK_ROWS, SLAB_ROWS, chunk_edges, generator, ordered_map, substream,
+    BATCH_VALUES, BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, chunk_edges, generator, ordered_map,
+    substream,
 )
 
 Param = Union[Fraction, float]
@@ -160,29 +161,42 @@ class MeasureFamily:
         return f"beta(a={self.a},b={self.b})"
 
     def draw(
-        self, rng: np.random.Generator, shape: tuple[int, ...], order: str = "C"
+        self, rng: np.random.Generator, shape: tuple[int, ...], order: str = "C",
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """``shape`` i.i.d. draws; the module docstring gives the method per family.
 
         The stream fills the result in ``order``: row-major for "C", and for
         "F" column-major, i.e. the transpose of the C draw of the reversed
-        shape, a Fortran-contiguous array.
+        shape, a Fortran-contiguous array.  Given ``out``, an array of
+        ``shape`` in any memory layout, the draws are written there and
+        returned: an exact construction computes its values in place, the
+        other samplers copy theirs in.  The bytes do not depend on ``out``.
         """
         if order == "F":
-            return self._draw_c(rng, tuple(shape)[::-1]).T
-        return self._draw_c(rng, shape)
+            return self._draw_c(rng, tuple(shape)[::-1], None if out is None else out.T).T
+        return self._draw_c(rng, shape, out)
 
-    def _draw_c(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def _draw_c(self, rng: np.random.Generator, shape, out) -> np.ndarray:
         terms = self._terms
-        if self.kind == "gaussian":
-            return rng.standard_normal(shape)
-        if self.kind == "gamma":
-            if terms is None:
-                return rng.gamma(float(self.r), size=shape)
-            return _exponential_sum(rng.standard_exponential((*shape, terms)))
         if terms is None:
-            return 1.0 - 2.0 * rng.beta(float(self.a), float(self.b), size=shape)
-        return 1.0 - 2.0 * _order_statistic(rng.random((*shape, terms)), int(self.a))
+            if self.kind == "gaussian":
+                values = rng.standard_normal(shape)
+            elif self.kind == "gamma":
+                values = rng.gamma(float(self.r), size=shape)
+            else:
+                values = 1.0 - 2.0 * rng.beta(float(self.a), float(self.b), size=shape)
+            if out is None:
+                return values
+            out[...] = values
+            return out
+        if out is None:
+            out = np.empty(shape)
+        if self.kind == "gamma":
+            return _exponential_sum(rng.standard_exponential((*shape, terms)), out)
+        b = _order_statistic(rng.random((*shape, terms)), int(self.a))
+        np.multiply(b, -2.0, out=b)  # 1 - 2B as -2B + 1: the same rounding
+        return np.add(b, 1.0, out=out)
 
     def _construction_terms(self) -> int | None:
         """Variates per value on the trailing axis of an exact construction.
@@ -424,55 +438,60 @@ def _order_statistic(u: np.ndarray, a: int) -> np.ndarray:
     return head
 
 
-def _exponential_sum(e: np.ndarray) -> np.ndarray:
-    """The sum along the trailing axis of e, added left to right."""
-    total = e[..., 0].copy()
+def _exponential_sum(e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum along the trailing axis of e, added left to right into out."""
+    np.copyto(out, e[..., 0])
     for i in range(1, e.shape[-1]):
-        total += e[..., i]
-    return total
+        out += e[..., i]
+    return out
 
 
 def draw_pool(
     family: MeasureFamily, width: int, n: int, stream: np.random.SeedSequence
 ) -> list[tuple[int, int, Iterator[tuple[int, int, np.ndarray]]]]:
-    """The (start, stop, blocks) chunks of an (n, width) i.i.d. pool.
+    """The (start, stop, batches) chunks of an (n, width) i.i.d. pool.
 
     Every Monte-Carlo pool is drawn here: :func:`pool_pass` evaluates
-    polynomials over it, and :func:`sample` returns it.  ``blocks`` draws
-    its chunk lazily from the chunk's own generator, ``BLOCK_ROWS`` rows at
-    a time, yielding (lo, hi, X[lo:hi]).  Each X[lo:hi] is a column-major
-    (rows, width) view on a fresh buffer: index it by column, and keep it
-    if needed.  Output depends only on ``stream`` and ``n``, never on how
-    chunks are consumed or parallelized.
+    polynomials over it, and :func:`sample` returns it.  ``batches`` draws
+    its chunk lazily from the chunk's own generator, one batch of rows at a
+    time, yielding (lo, hi, X[lo:hi]).  A batch is the whole blocks that
+    hold at most ``BATCH_VALUES`` values, at least one block and at most a
+    chunk: 4096 rows at width 128, 8192 at width 64, a whole chunk from
+    width 8 down.  Each X[lo:hi] is a column-major (rows, width) view on a
+    fresh buffer: index it by column, and keep it if needed.  Output
+    depends only on ``stream`` and ``n``, never on how chunks are consumed
+    or parallelized.
     """
     if n < 1:
         raise PreconditionError("sample count must be >= 1")
     edges = chunk_edges(n)
     return [
-        (lo, hi, _draw_blocks(family, width, lo, hi, generator(child)))
+        (lo, hi, _draw_batches(family, width, lo, hi, generator(child)))
         for (lo, hi), child in zip(edges, stream.spawn(len(edges)))
     ]
 
 
-def _draw_blocks(family: MeasureFamily, width: int, lo: int, hi: int, rng):
-    # Each block is the .T view of a fresh C-order (width, rows) buffer: one
-    # column-major draw.  An exact construction fills the buffer SLAB_ROWS
-    # rows at a time instead, so that its per-value variates stay
-    # cache-sized: a whole-block draw of beta(2, 2) measured ~25% slower.
-    slabs = family._terms is not None
-    for start in range(lo, hi, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, hi)
-        rows = stop - start
-        if not slabs:
-            yield start, stop, family.draw(rng, (rows, width), order="F")
+def _draw_batches(family: MeasureFamily, width: int, lo: int, hi: int, rng):
+    # A batch is the .T view of a fresh C-order (width, rows) buffer, filled
+    # block after block by one column-major draw each.  An exact
+    # construction fills it SLAB_ROWS rows at a time instead, in place, so
+    # that its per-value variates stay cache-sized: a whole-block draw of
+    # beta(2, 2) measured ~25% slower.  numpy's own samplers allocate their
+    # draw, so a batch of one block is that draw, not a copy of it.
+    blocks = min(max(BATCH_VALUES // (width * BLOCK_ROWS), 1), CHUNK_ROWS // BLOCK_ROWS)
+    rows = SLAB_ROWS if family._terms is not None else BLOCK_ROWS
+    for start in range(lo, hi, blocks * BLOCK_ROWS):
+        stop = min(start + blocks * BLOCK_ROWS, hi)
+        if rows == BLOCK_ROWS and stop - start <= BLOCK_ROWS:
+            yield start, stop, family.draw(rng, (stop - start, width), order="F")
             continue
-        buf = np.empty((width, rows))
-        for s in range(0, rows, SLAB_ROWS):
-            e = min(s + SLAB_ROWS, rows)
-            buf[:, s:e] = family.draw(rng, (e - s, width), order="F").T
+        buf = np.empty((width, stop - start))
+        for s in range(0, stop - start, rows):
+            e = min(s + rows, stop - start)
+            family.draw(rng, (e - s, width), order="F", out=buf[:, s:e].T)
         yield start, stop, buf.T
-        # Hold no block across the next draw: a consumer that drops each
-        # block before asking for the next keeps one alive, not two.
+        # Hold no batch across the next draw: a consumer that drops each
+        # batch before asking for the next keeps one alive, not two.
         del buf
 
 
@@ -484,7 +503,7 @@ def sample(family: MeasureFamily, dim: int, n: int, seed: int, *labels) -> np.nd
     if dim < 1:
         raise PreconditionError("sample dimension must be >= 1")
     pool = draw_pool(family, dim, n, substream(seed, "vector-samples", *labels))
-    return np.concatenate([x for _, _, blocks in pool for _, _, x in blocks])
+    return np.concatenate([x for _, _, batches in pool for _, _, x in batches])
 
 
 def pool_pass(
@@ -496,32 +515,35 @@ def pool_pass(
     The pool is drawn once by :func:`draw_pool`, its width the largest
     ``p.dim``, and each polynomial p reads its leading p.dim columns.  Each
     (p, k) pair of ``columns`` gives a read-only column of p's values on the
-    first k rows.  Each p of ``sums`` gives (sum |p|, sum p^2) over all n
-    rows: each chunk sums its whole chunk, so the sums do not depend on the
-    block size, and the chunk sums are added in chunk order.  Chunks run on
-    up to ``threads`` workers; nothing returned depends on ``threads``.
-    Values that overflow to inf or NaN pass through unflagged: a caller
-    checks what it needs finite.
+    first k rows.  Each entry of ``sums`` gives (sum |v|, sum v^2) over all
+    n rows, where v is a polynomial's values or, for an int i, the values of
+    column i, which must span all n rows: that sum evaluates nothing more.
+    Each chunk sums its whole chunk, so the sums do not depend on the batch
+    size, and the chunk sums are added in chunk order.  Chunks run on up to
+    ``threads`` workers; nothing returned depends on ``threads``.  Values
+    that overflow to inf or NaN pass through unflagged: a caller checks what
+    it needs finite.
     """
-    width = max(p.dim for p in [*(p for p, _ in columns), *sums])
-    pool = draw_pool(family, width, n, stream)
+    polys = [p for p, _ in columns] + [p for p in sums if not isinstance(p, int)]
+    pool = draw_pool(family, max(p.dim for p in polys), n, stream)
     values = [np.empty(k) for _, k in columns]
 
     def pass_chunk(chunk):
-        c_lo, c_hi, blocks = chunk
-        parts = [np.empty(c_hi - c_lo) for _ in sums]
+        c_lo, c_hi, batches = chunk
+        parts = [None if isinstance(p, int) else np.empty(c_hi - c_lo) for p in sums]
         # numpy's error state is per thread, so each worker sets its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi, block in blocks:
+            for lo, hi, batch in batches:
                 for (p, k), vals in zip(columns, values):
                     if lo < k:
                         top = min(hi, k)
-                        vals[lo:top] = p.evaluate_batch(block[:top - lo, :p.dim])
+                        vals[lo:top] = p.evaluate_batch(batch[:top - lo, :p.dim])
                 for p, part in zip(sums, parts):
-                    part[lo - c_lo:hi - c_lo] = p.evaluate_batch(block[:, :p.dim])
-                block = None  # let the block go before the next one is drawn
-            for a in parts:
-                np.abs(a, out=a)
+                    if part is not None:
+                        part[lo - c_lo:hi - c_lo] = p.evaluate_batch(batch[:, :p.dim])
+                batch = None  # let the batch go before the next one is drawn
+            parts = [np.abs(values[p][c_lo:c_hi]) if part is None
+                     else np.abs(part, out=part) for p, part in zip(sums, parts)]
             return [(float(a.sum()), float((a * a).sum())) for a in parts]
 
     totals = [(0.0, 0.0)] * len(sums)

@@ -27,12 +27,17 @@ them:
 
 - prepare (``_prepare_chain``) owns every input check and the symbolic
   parts: Gamma(Q), LQ and the exact E[Gamma(Gamma(Q))] of each element,
-  and the columns the pool pass fills.  It draws nothing.
+  whether LQ is a power-of-two multiple of Q, and the columns the pool
+  pass fills.  It draws nothing.
 - the pool pass (``measures.pool_pass``, the one every Monte-Carlo
   estimate runs) owns the one draw: Q and Gamma(Q) values and the |LQ|
-  sums, chunk by chunk, added in chunk order.
+  sums, chunk by chunk, added in chunk order.  Where LQ = lam Q exactly
+  (Q is an eigenfunction of the product generator, Bakry, Gentil and
+  Ledoux 2014, and lam a power of two) the |LQ| sums are |lam| and lam^2
+  times those of Q's column, and LQ is not evaluated.
 - rows (``_chain_rows``) owns the estimates: the kappa envelope, FM, TV and
-  its noise floor, the optimized bound and the consistency gate.
+  its noise floor on the pool pass's threads, then the optimized bound and
+  the consistency gate in element order.
 
 A replicate keeps one copy of each value column.  The pool pass marks
 every column read-only when it is filled, so each ``SampleSet`` of the
@@ -41,11 +46,13 @@ time.  The per-replicate footprint is therefore
 
     elements x samples x 8 bytes          (Q values)
     + elements x kappa rows x 8 bytes     (Gamma(Q) values for the kappa fit)
-    + width x BLOCK_ROWS x 8 bytes per pool thread  (the block being evaluated)
+    + about BATCH_VALUES x 8 bytes per pool thread  (the batch being evaluated)
 
-with kappa rows = min(KAPPA_SAMPLES, samples) and width the largest element
-dimension; every other buffer is a fixed number of chunks or blocks.  A
-pool thread lets go of its block before it draws the next one.
+with kappa rows = min(KAPPA_SAMPLES, samples); every other buffer is a
+fixed number of chunks or batches.  A batch holds at least one block of
+width x BLOCK_ROWS values, width the largest element dimension, so past
+width 128 it grows with the width.  A pool thread lets go of its batch
+before it draws the next one.
 
 Chains whose final element is constant are rejected up front: a polynomial
 in independent absolutely-continuous inputs has an absolutely continuous
@@ -58,12 +65,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .anticoncentration import kappa_envelope
 from .distances import SampleSet, fortet_mourier, histogram_tv_floor, total_variation
-from .errors import ConsistencyError, DegenerateFunctionalError, PreconditionError
+from .errors import (
+    ConsistencyError, DegenerateFunctionalError, GammaLabError, PreconditionError,
+)
 from .measures import (
     MeasureFamily,
     expectation,
@@ -74,7 +84,7 @@ from .measures import (
 )
 from .operators import DiffusionOperator, apply_generator, carre_du_champ
 from .poly import Polynomial
-from .sampling import substream
+from .sampling import ordered_map, substream
 
 TWO_SQRT_2_OVER_PI = 2.0 * math.sqrt(2.0 / math.pi)
 # Smallest pool of a chain replicate: ceil(1000^(1/3)) = 10 histogram bins.
@@ -316,7 +326,7 @@ def run_chain_replicate(
     chain = _prepare_chain(builder, family, n_grid, n_samples)
     pool = pool_pass(family, n_samples, substream(seed, "chain-pool"), chain.columns,
                      chain.lqs, threads)
-    return _chain_rows(chain, *pool)
+    return _chain_rows(chain, *pool, threads)
 
 
 @dataclass(frozen=True)
@@ -330,8 +340,15 @@ class _Chain:
     # The pool pass's columns: each Q on all rows, then each Gamma(Q) on the
     # first KAPPA_SAMPLES rows, for the kappa fit.
     columns: list
-    lqs: tuple  # LQ per element
+    # The pool pass's sums per element: LQ, or where LQ = lam Q for a power
+    # of two |lam| >= 1 (see _eigenvalue), the index of Q's column.
+    lqs: tuple
+    lams: tuple  # that lam per element, 1 where LQ is evaluated
     e_gamma_gammas: tuple  # E[Gamma(Gamma(Q))] per element, exact moment engine
+
+    def abs_lq_sums(self, sums) -> list[tuple[float, float]]:
+        """(sum |LQ|, sum LQ^2) per element from the pool pass's ``sums``."""
+        return [(abs(lam) * s, lam * lam * sq) for lam, (s, sq) in zip(self.lams, sums)]
 
 
 def _gamma_parts(op: DiffusionOperator, q: Polynomial, what: str):
@@ -340,6 +357,28 @@ def _gamma_parts(op: DiffusionOperator, q: Polynomial, what: str):
     e_gg = finite_float(expectation(carre_du_champ(op, gamma_q), op.family),
                         f"E[Gamma(Gamma(Q))] of {what}")
     return gamma_q, apply_generator(op, q), e_gg
+
+
+def _eigenvalue(q: Polynomial, lq: Polynomial) -> int | None:
+    """lam if LQ == lam Q exactly for a power of two |lam| >= 1, else None.
+
+    Then LQ's values are lam times Q's, bit for bit: the evaluator's terms
+    differ by the factor lam, and scaling by a power of two commutes with
+    every rounding of the evaluation, short of overflow and of products
+    below the normal float range, which coefficients of chain size never
+    reach.  Multilinear elements of the product generator often are
+    eigenfunctions: chaos2 under gaussian (lam = -2), gamma(2) (-2) and
+    beta(2, 2) (-8), and the linear chain under gaussian (-1) and
+    beta(2, 2) (-4).
+    """
+    mono = next((m for m in q.terms if m), None)
+    if mono is None or mono not in lq.terms:
+        return None
+    ratio = lq.terms[mono] / q.terms[mono]
+    lam = int(ratio) if abs(ratio) < math.inf else 0
+    if lam != ratio or lam == 0 or abs(lam) & (abs(lam) - 1):
+        return None
+    return lam if lq == q.scale(lam) else None
 
 
 def _prepare_chain(builder, family: MeasureFamily, n_grid, n_samples: int) -> _Chain:
@@ -378,32 +417,49 @@ def _prepare_chain(builder, family: MeasureFamily, n_grid, n_samples: int) -> _C
     ))
     k_rows = min(KAPPA_SAMPLES, n_samples)
     columns = [(q, n_samples) for q in elements] + [(g, k_rows) for g in gammas]
-    return _Chain(n_grid, elements, dims, max(degrees), columns, lqs, e_gamma_gammas)
+    lams = [_eigenvalue(q, lq) for q, lq in zip(elements, lqs)]
+    sums = tuple(lq if lam is None else i for i, (lq, lam) in enumerate(zip(lqs, lams)))
+    return _Chain(n_grid, elements, dims, max(degrees), columns, sums,
+                  tuple(1 if lam is None else lam for lam in lams), e_gamma_gammas)
 
 
-def _chain_rows(chain: _Chain, values, lq_sums) -> list[ChainRow]:
+def _chain_rows(chain: _Chain, values, sums, threads: int = 1) -> list[ChainRow]:
     """The kappa envelope, FM/TV/floor per element, the bound and its gate.
 
-    ``values`` are the columns of ``chain.columns`` and ``lq_sums`` the
-    (sum |LQ|, sum LQ^2) of each element, as the pool pass returns them.
+    ``values`` are the columns of ``chain.columns`` and ``sums`` those of
+    ``chain.lqs``, as the pool pass returns them.  The kappa envelope and
+    each element's FM, TV and floor run on up to ``threads`` workers; the
+    bounds and gates then run in element order, so the first element that
+    fails raises.
     """
     f_vals, gam_vals = values[:len(chain.elements)], values[len(chain.elements):]
     n_samples = f_vals[0].size
+    lq_sums = chain.abs_lq_sums(sums)
     budgets = [gg + s / n_samples for gg, (s, _) in zip(chain.e_gamma_gammas, lq_sums)]
     sup_idx = int(np.argmax(budgets))
     budget_sup = budgets[sup_idx]
     lq_mean, lq_sq = (s / n_samples for s in lq_sums[sup_idx])
     lq_se = math.sqrt(max(lq_sq - lq_mean * lq_mean, 0.0) / n_samples)
     d = chain.degree
-    kappa = kappa_envelope(gam_vals, d)
-
     ref = SampleSet(f_vals[-1], provenance="chain-reference")
+
+    def distances(idx):
+        # An error is returned, and raised below in element order.
+        try:
+            cur = SampleSet(f_vals[idx], provenance=f"chain-n={chain.n_grid[idx]}")
+            tv = total_variation(cur, ref)
+            return fortet_mourier(cur, ref), tv, histogram_tv_floor(ref, tv)
+        except GammaLabError as err:
+            return err
+
+    jobs = [partial(kappa_envelope, gam_vals, d)]
+    jobs += [partial(distances, idx) for idx in range(len(chain.n_grid))]
+    kappa, *per_element = ordered_map(lambda job: job(), jobs, threads)
     rows = []
-    for idx, n in enumerate(chain.n_grid):
-        cur = SampleSet(f_vals[idx], provenance=f"chain-n={n}")
-        fm = fortet_mourier(cur, ref)
-        tv = total_variation(cur, ref)
-        floor = histogram_tv_floor(ref, tv)
+    for idx, (n, found) in enumerate(zip(chain.n_grid, per_element)):
+        if isinstance(found, GammaLabError):
+            raise found
+        fm, tv, floor = found
         report = optimize_bound(fm.estimate, kappa, d, budget_sup)
         se_bound = TWO_SQRT_2_OVER_PI * (report.alpha / report.eps) * lq_se
         pooled_se = math.sqrt(tv.uncertainty**2 + se_bound**2)

@@ -57,6 +57,13 @@ def test_small_ball_requires_ascending_alphas():
         small_ball(X1, GAUSSIAN, np.array([0.3, 0.2]), 100, 1)
 
 
+@pytest.mark.parametrize("alphas", [[math.nan], [0.1, math.nan]])
+def test_small_ball_refuses_nan_alphas(alphas):
+    # Both comparisons of the ascending check are False for NaN.
+    with pytest.raises(PreconditionError, match="finite"):
+        small_ball(X1, GAUSSIAN, alphas, 100, 1)
+
+
 # -- Carbery-Wright ----------------------------------------------------------------
 
 

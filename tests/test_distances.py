@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import kstwobign
 
@@ -19,9 +21,14 @@ from gamma_lab.distances import (
     total_variation,
 )
 from gamma_lab.errors import PreconditionError
-from gamma_lab.measures import gaussian
+from gamma_lab.measures import beta, gamma, gaussian
 from gamma_lab.poly import Polynomial, variables
-from gamma_lab.sampling import CHUNK_ROWS
+from gamma_lab.sampling import CHUNK_ROWS, derive_seed
+from gamma_lab.tv_bound import (
+    linear_sum_sequence,
+    pair_product_sequence,
+    run_chain_replicate,
+)
 
 KS_CRIT_1PCT = float(kstwobign.ppf(0.99))
 
@@ -218,6 +225,112 @@ def test_grid_dual_matches_linear_program():
         assert res.status == 0
         dp = bounded_lipschitz_grid_value(w, step)
         assert dp == pytest.approx(-res.fun, abs=1e-9)
+
+
+# -- the in-place grid dual against the reference -------------------------------
+# The grid dual as it was written before it kept its breakpoints in place:
+# one array per step from concatenate, np.interp at the clip edges.  The
+# kernel must return its value to the bit, the sign of zero included.
+
+
+def reference_grid_value(w, step):
+    w = np.asarray(w, dtype=float)
+    nz = np.flatnonzero(w)
+    if nz.size == 0:
+        return 0.0
+    xs = np.array([-1.0, 1.0])
+    vs = w[nz[-1]] * xs
+    prev = nz[-1]
+    for j in nz[-2::-1]:
+        xs, vs = reference_window_max_clip(xs, vs, (prev - j) * step)
+        vs = vs + w[j] * xs
+        prev = j
+    return float(vs.max())
+
+
+def reference_window_max_clip(xs, vs, halfwidth):
+    vmax = vs.max()
+    peak = np.flatnonzero(vs == vmax)
+    k_lo, k_hi = peak[0], peak[-1]
+    new_xs = np.concatenate(
+        [xs[:k_lo] - halfwidth,
+         [xs[k_lo] - halfwidth, xs[k_hi] + halfwidth],
+         xs[k_hi + 1:] + halfwidth]
+    )
+    new_vs = np.concatenate([vs[:k_lo], [vmax, vmax], vs[k_hi + 1:]])
+    lo_val = np.interp(-1.0, new_xs, new_vs)
+    hi_val = np.interp(1.0, new_xs, new_vs)
+    inside = (new_xs > -1.0) & (new_xs < 1.0)
+    out_xs = np.concatenate([[-1.0], new_xs[inside], [1.0]])
+    out_vs = np.concatenate([[lo_val], new_vs[inside], [hi_val]])
+    return out_xs, out_vs
+
+
+def assert_grid_value_matches_reference(w, step):
+    got, want = bounded_lipschitz_grid_value(w, step), reference_grid_value(w, step)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+@st.composite
+def grid_weights(draw):
+    """Weights with runs of zeros and repeated values, some rounded to a
+    few binary digits so that sums tie at the peak or cancel to zero, some
+    a few multiples of the smallest subnormal, so that products underflow
+    and value functions peak at zeros of either sign."""
+    n = draw(st.integers(1, 80))
+    digits = draw(st.sampled_from([None, 1, 2, 4]))
+    unit = draw(st.sampled_from([1.0, 5e-324]))
+    values = st.floats(-1.0, 1.0, allow_subnormal=False)
+    w = []
+    while len(w) < n:
+        run = draw(st.integers(1, 6))
+        kind = draw(st.integers(0, 2))
+        value = 0.0 if kind == 0 else draw(values)
+        if digits is not None:
+            value = round(value * 2**digits) / 2**digits
+        value *= unit
+        w.extend([value] * run if kind < 2 else [value, -value] * run)
+    return np.array(w[:n])
+
+
+@settings(max_examples=600)
+@given(grid_weights(), st.floats(1e-3, 3.0))
+def test_grid_dual_matches_reference(w, step):
+    assert_grid_value_matches_reference(w, step)
+
+
+def test_grid_dual_matches_reference_on_ties_and_zero_peaks():
+    # Equal weights of both signs: the value functions peak on a run of
+    # equal breakpoints, and at exactly zero.
+    for w in ([0.5, -0.5], [0.25, 0.0, 0.0, -0.25, 0.25, -0.25],
+              [1.0, -1.0, 1.0, -1.0], [0.0, 0.5, 0.5, -0.5, -0.5, 0.0]):
+        for step in (1e-3, 0.25, 0.5, 1.0, 3.0):
+            assert_grid_value_matches_reference(np.array(w), step)
+            assert_grid_value_matches_reference(-np.array(w), step)
+
+
+@pytest.mark.parametrize("name, fam, builder", [
+    ("linear/gaussian", gaussian(), linear_sum_sequence),
+    ("chaos2/gaussian", gaussian(), pair_product_sequence),
+    ("linear/gamma(2)", gamma(2), linear_sum_sequence),
+    ("linear/beta(2,2)", beta(2, 2), linear_sum_sequence),
+])
+def test_grid_dual_matches_reference_on_chain_columns(name, fam, builder, monkeypatch):
+    # The FM weight vectors of one replicate of each chain suite of the
+    # acceptance criterion-08 experiment (10^6 samples, n = 4, 16, 64).
+    calls = []
+
+    def record(w, step):
+        calls.append((w.copy(), step))
+        return bounded_lipschitz_grid_value(w, step)
+
+    monkeypatch.setattr(distances, "bounded_lipschitz_grid_value", record)
+    seed = derive_seed(0, "acceptance-chain", name, 0)
+    run_chain_replicate(lambda n: builder(fam, n), fam, [4, 16, 64], 1_000_000, seed,
+                        threads=2)
+    assert len(calls) == 3
+    for w, step in calls:
+        assert_grid_value_matches_reference(w, step)
 
 
 # -- polynomial functionals ------------------------------------------------------

@@ -372,25 +372,29 @@ def test_gamma_sampler_matches_scipy_law():
      (beta(3, 2), SLAB_ROWS), (gamma(Fraction(5, 2)), BLOCK_ROWS)],
     ids=["gaussian", "gamma2", "beta22", "beta32", "gamma5/2"])
 def test_block_draws_equal_one_draw_per_chunk(family, slab):
-    # Block after block from its chunk's generator, each block is the
-    # transpose of a C-order (width, rows) buffer: one draw of that shape,
-    # or for the exact constructions one draw per SLAB_ROWS rows of it.  The
-    # last block holds a partial slab.
+    # Batch after batch from its chunk's generator, each batch is the
+    # transpose of a C-order (width, rows) buffer: one draw of that shape per
+    # block, or for the exact constructions one draw per SLAB_ROWS rows of
+    # it.  The last batch holds a partial slab.  A batch holds 2^19 values
+    # in whole blocks, at least one and at most a chunk.
     n = CHUNK_ROWS + BLOCK_ROWS + SLAB_ROWS + 123
-    for width in (5, 1):
+    for width, rows in ((5, CHUNK_ROWS), (1, CHUNK_ROWS), (64, 2 * BLOCK_ROWS),
+                        (128, BLOCK_ROWS)):
         pool = draw_pool(family, width, n, substream(4, "blocks"))
         children = substream(4, "blocks").spawn(len(pool))
         assert [(lo, hi) for lo, hi, _ in pool] == [(0, CHUNK_ROWS), (CHUNK_ROWS, n)]
-        for (lo, hi, blocks), child in zip(pool, children):
-            drawn = list(blocks)
+        batches = []
+        for (lo, hi, chunk), child in zip(pool, children):
+            drawn = list(chunk)
             edges = [(a, b) for a, b, _ in drawn]
             assert edges[0][0] == lo and edges[-1][1] == hi
-            assert all(b - a <= BLOCK_ROWS for a, b in edges)
+            assert all(b - a == rows for a, b in edges[:-1])
+            assert all(b - a <= rows for a, b in edges)
             assert all(b == c for (_, b), (c, _) in zip(edges, edges[1:]))
-            # column-major (rows, width) blocks, each on its own buffer
+            # column-major (rows, width) batches, each on its own buffer
             assert all(x.shape == (b - a, width) for a, b, x in drawn)
             assert all(x.flags.f_contiguous for _, _, x in drawn)
-            assert not np.shares_memory(drawn[0][2], drawn[-1][2])
+            batches += [x for _, _, x in drawn]
             rng = generator(child)
             for a, b, x in drawn:
                 buf = np.concatenate([
@@ -398,6 +402,7 @@ def test_block_draws_equal_one_draw_per_chunk(family, slab):
                     for s in range(a, b, slab)
                 ], axis=1)
                 assert np.array_equal(x, buf.T)
+        assert not any(np.shares_memory(x, y) for x, y in zip(batches, batches[1:]))
 
 
 def test_functional_values_are_the_polynomial_on_the_sample_pool():
@@ -471,3 +476,12 @@ def _pool(fam):
 
 def test_pool_generator_is_sfc64():
     assert isinstance(generator(substream(1, "pool")).bit_generator, np.random.SFC64)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_substream_refuses_seeds_beyond_64_bits(seed):
+    # Keeping the low 64 bits would alias 2**64 to seed 0 and -1 to 2**64 - 1.
+    with pytest.raises(PreconditionError, match="outside"):
+        substream(seed, "a")
+    with pytest.raises(PreconditionError, match="outside"):
+        sample(gaussian(), 1, 10, seed)

@@ -20,6 +20,7 @@ from gamma_lab.measures import (
     gaussian,
     variance,
 )
+from gamma_lab.operators import DiffusionOperator, apply_generator
 from gamma_lab.poly import Polynomial, variables
 from gamma_lab.sampling import (
     BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, chunk_edges, generator, substream,
@@ -416,6 +417,43 @@ def test_chain_rows_do_not_depend_on_pool_threads(monkeypatch):
     ref = SampleSet(last.evaluate_batch(pool))
     assert runs[0][0].d_tv_hat == total_variation(cur, ref).estimate
     assert runs[0][0].d_fm == fortet_mourier(cur, ref).estimate
+
+
+@pytest.mark.parametrize("fam, sequence, lam", [
+    (gaussian(), pair_product_sequence, -2),
+    (gamma(2), pair_product_sequence, -2),
+    (beta(2, 2), pair_product_sequence, -8),
+    (gaussian(), linear_sum_sequence, -1),
+    (beta(2, 2), linear_sum_sequence, -4),
+], ids=["chaos2-gaussian", "chaos2-gamma2", "chaos2-beta22", "clt-gaussian", "clt-beta22"])
+def test_abs_lq_sums_from_the_q_column_equal_evaluated_lq(fam, sequence, lam):
+    # Where LQ = lam Q, the pool pass sums |Q| and Q^2 from Q's column and
+    # the chain scales them by |lam| and lam^2: the same bits as summing the
+    # evaluated LQ.  Two chunks, the last one partial.
+    n_samples = CHUNK_ROWS + 12345
+    chain = tv_bound._prepare_chain(lambda n: sequence(fam, n), fam, [4, 16], n_samples)
+    assert chain.lams == (lam, lam) and chain.lqs == (0, 1)
+    _, sums = tv_bound.pool_pass(fam, n_samples, substream(5, "chain-pool"),
+                                 chain.columns, chain.lqs)
+    lqs = [apply_generator(DiffusionOperator(fam, q.dim), q) for q in chain.elements]
+    _, evaluated = tv_bound.pool_pass(fam, n_samples, substream(5, "chain-pool"), [], lqs)
+    bits = lambda pairs: [(s.hex(), sq.hex()) for s, sq in pairs]
+    assert bits(chain.abs_lq_sums(sums)) == bits(evaluated)
+
+
+def test_elements_that_are_not_power_of_two_eigenfunctions_evaluate_lq():
+    # The linear gamma(2) chain is one only at n = 4 (its constant term sums
+    # exactly there); beta(3, 4)'s eigenvalues are not powers of two.
+    cases = [(gamma(2), linear_sum_sequence, (-1, None, None)),
+             (beta(3, 4), linear_sum_sequence, (None, None, None)),
+             (beta(3, 4), pair_product_sequence, (None, None, None))]
+    for fam, sequence, lams in cases:
+        chain = tv_bound._prepare_chain(
+            lambda n: sequence(fam, n), fam, [4, 16, 64], MIN_CHAIN_SAMPLES)
+        for idx, (q, lam) in enumerate(zip(chain.elements, lams)):
+            lq = apply_generator(DiffusionOperator(fam, q.dim), q)
+            assert chain.lqs[idx] == (idx if lam else lq)
+            assert chain.lams[idx] == (lam or 1)
 
 
 def test_chain_rows_read_the_value_columns_in_place():
