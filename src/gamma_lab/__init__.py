@@ -38,7 +38,7 @@ from .operators import (
     spectral_decompose,
     spectral_gap,
 )
-from .poly import Polynomial, variables
+from .poly import Polynomial
 from .distances import (
     AnalyticLaw,
     DistanceReport,

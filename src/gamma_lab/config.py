@@ -72,11 +72,13 @@ _REQUIRED = object()
 # The one rule (kind, minimum, maximum) of each numeric config key.  A CLI
 # option or a distance-spec field that stands for the same quantity is
 # checked by it.  A seed is a 64-bit entropy word: a larger one would alias
-# the seed of its low 64 bits.
+# the seed of its low 64 bits.  A replicate's stream is labelled by its
+# index, and a stream label keeps its low 32 bits, so replicate 2**32 would
+# repeat replicate 0.
 _KEY_RULES = {
     "seed": (int, 0, 2**64 - 1),
     "samples": (int, 1, None),
-    "replicates": (int, 1, None),
+    "replicates": (int, 1, 2**32),
     "stability_factor": (int, MIN_STABILITY_FACTOR, None),
 }
 

@@ -14,8 +14,9 @@ for its input combination and records the method in the returned
   ~1e-6; a quadrature that does not converge is a precondition error);
   empirical mode is the L1/2 distance between common-bin histograms with
   ceil(n^(1/3)) bins over the pooled range.  The histogram value is an
-  estimator of an (in general) non-estimable metric and is tagged as such;
-  :func:`histogram_tv_floor` gives its noise floor.
+  estimator of an (in general) non-estimable metric and is tagged as such.
+  Its report carries its noise floor (``DistanceReport.floor``): the second
+  set is counted as its two halves, whose integer sum is its full count.
 * Fortet-Mourier -- the dual sup over |h| <= 1, Lip(h) <= 1 is solved
   exactly on a uniform grid of the pooled support (2048 points, 5% range
   expansion) by dynamic programming over concave piecewise-linear value
@@ -188,6 +189,12 @@ class DistanceReport:
     method: str
     uncertainty: float = 0.0
     params: dict = field(default_factory=dict)
+    # A sample-sample histogram TV's noise floor: the histogram TV between the
+    # two halves of the second set on the report's bins, over sqrt(2).  Both
+    # halves share that set's law, so their distance is pure histogram noise,
+    # and halving the samples scales it by sqrt(2).  An estimate at or below
+    # the floor cannot be told from zero.  0.0 for every other report.
+    floor: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +348,20 @@ def _tv_histogram(x: SampleSet, y: SampleSet) -> DistanceReport:
                               params={"bins": bins, "degenerate": True})
     edges = np.linspace(lo, hi, bins + 1)
     px = np.histogram(x.values, bins=edges)[0] / x.n
-    py = np.histogram(y.values, bins=edges)[0] / y.n
+    half = y.n // 2
+    halves = [np.histogram(part, bins=edges)[0]
+              for part in (y.values[:half], y.values[half:])]
+    py = (halves[0] + halves[1]) / y.n
     est = 0.5 * float(np.abs(px - py).sum())
     se = 0.5 * math.sqrt(
         float((px * (1 - px)).sum()) / x.n + float((py * (1 - py)).sum()) / y.n
     )
+    floor = 0.0  # one sample: no noise to see
+    if half:
+        diff = halves[0] / half - halves[1] / (y.n - half)
+        floor = 0.5 * float(np.abs(diff).sum()) / math.sqrt(2.0)
     return DistanceReport("tv", est, "histogram", uncertainty=se,
-                          params={"bins": bins, "range": (lo, hi)})
-
-
-def histogram_tv_floor(y: SampleSet, report: DistanceReport) -> float:
-    """The noise floor of a histogram TV ``report`` against the reference ``y``.
-
-    The histogram TV between the two halves of y on the report's own bins,
-    divided by sqrt(2): both halves share y's law, so their distance is pure
-    histogram noise, and halving the samples scales that noise by sqrt(2).
-    An estimate at or below the floor cannot be told from zero.
-    """
-    if "range" not in report.params or y.n < 2:
-        return 0.0  # a single-point pooled range or one sample: no noise to see
-    edges = np.linspace(*report.params["range"], report.params["bins"] + 1)
-    half = y.n // 2
-    counts = [
-        np.histogram(part, bins=edges)[0] / part.size
-        for part in (y.values[:half], y.values[half:])
-    ]
-    return 0.5 * float(np.abs(counts[0] - counts[1]).sum()) / math.sqrt(2.0)
+                          params={"bins": bins, "range": (lo, hi)}, floor=floor)
 
 
 def _tv_mixed(x: SampleSet, law: AnalyticLaw) -> DistanceReport:

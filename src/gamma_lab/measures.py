@@ -146,13 +146,6 @@ class MeasureFamily:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_terms", self._construction_terms())
 
-    def support(self) -> tuple[float, float]:
-        if self.kind == "gaussian":
-            return (-math.inf, math.inf)
-        if self.kind == "gamma":
-            return (0.0, math.inf)
-        return (-1.0, 1.0)
-
     def label(self) -> str:
         if self.kind == "gaussian":
             return "gaussian"
@@ -161,42 +154,41 @@ class MeasureFamily:
         return f"beta(a={self.a},b={self.b})"
 
     def draw(
-        self, rng: np.random.Generator, shape: tuple[int, ...], order: str = "C",
+        self, rng: np.random.Generator, shape: tuple[int, int],
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``shape`` i.i.d. draws; the module docstring gives the method per family.
+        """A (rows, width) array of i.i.d. draws; the module docstring gives
+        the method per family.
 
-        The stream fills the result in ``order``: row-major for "C", and for
-        "F" column-major, i.e. the transpose of the C draw of the reversed
-        shape, a Fortran-contiguous array.  Given ``out``, an array of
-        ``shape`` in any memory layout, the draws are written there and
-        returned: an exact construction computes its values in place, the
-        other samplers copy theirs in.  The bytes do not depend on ``out``.
+        The stream fills the result column-major: it is the transpose of the
+        C-order draw of (width, rows), a Fortran-contiguous array.  Given
+        ``out``, a (rows, width) array in any memory layout, the draws are
+        written there and returned: an exact construction computes its
+        values in place, the other samplers copy theirs in.  The bytes do
+        not depend on ``out``.
         """
-        if order == "F":
-            return self._draw_c(rng, tuple(shape)[::-1], None if out is None else out.T).T
-        return self._draw_c(rng, shape, out)
-
-    def _draw_c(self, rng: np.random.Generator, shape, out) -> np.ndarray:
+        c_shape = shape[::-1]
         terms = self._terms
         if terms is None:
             if self.kind == "gaussian":
-                values = rng.standard_normal(shape)
+                values = rng.standard_normal(c_shape)
             elif self.kind == "gamma":
-                values = rng.gamma(float(self.r), size=shape)
+                values = rng.gamma(float(self.r), size=c_shape)
             else:
-                values = 1.0 - 2.0 * rng.beta(float(self.a), float(self.b), size=shape)
+                values = 1.0 - 2.0 * rng.beta(float(self.a), float(self.b), size=c_shape)
             if out is None:
-                return values
-            out[...] = values
+                return values.T
+            out.T[...] = values
             return out
         if out is None:
-            out = np.empty(shape)
+            out = np.empty(shape, order="F")
         if self.kind == "gamma":
-            return _exponential_sum(rng.standard_exponential((*shape, terms)), out)
-        b = _order_statistic(rng.random((*shape, terms)), int(self.a))
+            _exponential_sum(rng.standard_exponential((*c_shape, terms)), out.T)
+            return out
+        b = _order_statistic(rng.random((*c_shape, terms)), int(self.a))
         np.multiply(b, -2.0, out=b)  # 1 - 2B as -2B + 1: the same rounding
-        return np.add(b, 1.0, out=out)
+        np.add(b, 1.0, out=out.T)
+        return out
 
     def _construction_terms(self) -> int | None:
         """Variates per value on the trailing axis of an exact construction.
@@ -302,19 +294,21 @@ def expectation(p: Polynomial, family: MeasureFamily) -> Coef:
                 sums[term_den] = sums.get(term_den, 0) + term
         common = math.lcm(*sums)
         return Fraction(sum(s * (common // d) for d, s in sums.items()), common * den)
-    moments: dict[int, Coef] = {}
+    # Each moment as a float, converted once per call; None for a zero moment.
+    moments: dict[int, float | None] = {}
     total = 0.0
     try:
         for mono, coef in p.sorted_terms():
             term = float(coef)
             for _, power in mono:
-                m = moments.get(power)
+                if power not in moments:
+                    m = raw_moment(family, power)
+                    moments[power] = float(m) if m else None
+                m = moments[power]
                 if m is None:
-                    m = moments[power] = raw_moment(family, power)
-                if m == 0:
                     term = 0
                     break
-                term = term * float(m)
+                term = term * m
             total = total + term
     except OverflowError:  # an exact coefficient or moment beyond float range
         raise PreconditionError(
@@ -324,9 +318,13 @@ def expectation(p: Polynomial, family: MeasureFamily) -> Coef:
 
 
 def variance(p: Polynomial, family: MeasureFamily) -> Coef:
-    """Var[p(X)] for X of p.dim i.i.d. ``family`` coordinates."""
-    mean = expectation(p, family)
-    return expectation(p * p, family) - mean * mean
+    """Var[p(X)] = E[(p - E p)^2] for X of p.dim i.i.d. ``family`` coordinates.
+
+    Centered before squaring: in double mode E[p^2] - (E p)^2 cancels when
+    the mean is large (0.0 for x1 + 1e9 under gaussian, whose variance is 1).
+    """
+    centered = p - expectation(p, family)
+    return expectation(centered * centered, family)
 
 
 def finite_float(value: Coef, what: str) -> float:
@@ -483,12 +481,12 @@ def _draw_batches(family: MeasureFamily, width: int, lo: int, hi: int, rng):
     for start in range(lo, hi, blocks * BLOCK_ROWS):
         stop = min(start + blocks * BLOCK_ROWS, hi)
         if rows == BLOCK_ROWS and stop - start <= BLOCK_ROWS:
-            yield start, stop, family.draw(rng, (stop - start, width), order="F")
+            yield start, stop, family.draw(rng, (stop - start, width))
             continue
         buf = np.empty((width, stop - start))
         for s in range(0, stop - start, rows):
             e = min(s + rows, stop - start)
-            family.draw(rng, (e - s, width), order="F", out=buf[:, s:e].T)
+            family.draw(rng, (e - s, width), out=buf[:, s:e].T)
         yield start, stop, buf.T
         # Hold no batch across the next draw: a consumer that drops each
         # batch before asking for the next keeps one alive, not two.

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Union
@@ -255,10 +255,6 @@ class Polynomial:
         """True iff every stored exponent equals 1."""
         return all(p == 1 for m in self._terms for _, p in m)
 
-    def variables(self) -> set[int]:
-        """Indices of variables that actually occur."""
-        return {v for m in self._terms for v, _ in m}
-
     # -- ring operations ---------------------------------------------------
 
     def _check_dim(self, other: "Polynomial") -> None:
@@ -425,30 +421,7 @@ class Polynomial:
     def _coeff_map(self) -> dict[int, Coef]:
         return {m[0][1] if m else 0: c for m, c in self.terms.items()}
 
-    def embed(self, var: int, dim: int) -> "Polynomial":
-        """Rename the single variable of a univariate polynomial to x_var in R^dim."""
-        if self.dim != 1:
-            raise PreconditionError("embed() requires a univariate polynomial")
-        # Renaming the variable keeps every coefficient, and so the normal form.
-        out = {_mono(((var, m[0][1]),), dim) if m else _CONST: c
-               for m, c in self._terms.items()}
-        return Polynomial.zero(dim, self.exact)._wrap(out, self.exact, self._den)
-
     # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, point: Sequence) -> Coef:
-        """Evaluate at a point of length dim (exact for exact inputs)."""
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point has length {len(point)}, expected {self.dim}"
-            )
-        total: Coef = Fraction(0) if self.exact else 0.0
-        for m, c in self.sorted_terms():
-            term = c
-            for var, power in m:
-                term = term * point[var - 1] ** power
-            total = total + term
-        return total
 
     def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate on an (n, dim) sample matrix, returning (n,) float64.
@@ -580,8 +553,3 @@ class Polynomial:
         except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
             raise PreconditionError(f"invalid polynomial JSON: {exc}") from exc
         return cls.from_json_dict(data, exact)
-
-
-def variables(dim: int, exact: bool = True) -> list[Polynomial]:
-    """Convenience: the list [x1, ..., x_dim]."""
-    return [Polynomial.variable(i, dim, exact) for i in range(1, dim + 1)]

@@ -70,7 +70,7 @@ from functools import partial
 import numpy as np
 
 from .anticoncentration import kappa_envelope
-from .distances import SampleSet, fortet_mourier, histogram_tv_floor, total_variation
+from .distances import SampleSet, fortet_mourier, total_variation
 from .errors import (
     ConsistencyError, DegenerateFunctionalError, GammaLabError, PreconditionError,
 )
@@ -295,7 +295,7 @@ class ChainRow:
     alpha_star: float
     eps_star: float
     bound: float
-    d_tv_floor: float  # distances.histogram_tv_floor of the reference column
+    d_tv_floor: float  # the TV report's floor, from halves of the reference column
     above_floor: bool  # d_tv_hat > d_tv_floor
     vacuous: bool  # bound >= 1, while d_TV <= 1 always
     at_grid_edge: bool  # the bound optimum sits on an edge of the (alpha, eps) grid
@@ -424,11 +424,12 @@ def _prepare_chain(builder, family: MeasureFamily, n_grid, n_samples: int) -> _C
 
 
 def _chain_rows(chain: _Chain, values, sums, threads: int = 1) -> list[ChainRow]:
-    """The kappa envelope, FM/TV/floor per element, the bound and its gate.
+    """The kappa envelope, FM and TV (with its floor) per element, the bound
+    and its gate.
 
     ``values`` are the columns of ``chain.columns`` and ``sums`` those of
     ``chain.lqs``, as the pool pass returns them.  The kappa envelope and
-    each element's FM, TV and floor run on up to ``threads`` workers; the
+    each element's FM and TV run on up to ``threads`` workers; the
     bounds and gates then run in element order, so the first element that
     fails raises.
     """
@@ -447,8 +448,7 @@ def _chain_rows(chain: _Chain, values, sums, threads: int = 1) -> list[ChainRow]
         # An error is returned, and raised below in element order.
         try:
             cur = SampleSet(f_vals[idx], provenance=f"chain-n={chain.n_grid[idx]}")
-            tv = total_variation(cur, ref)
-            return fortet_mourier(cur, ref), tv, histogram_tv_floor(ref, tv)
+            return fortet_mourier(cur, ref), total_variation(cur, ref)
         except GammaLabError as err:
             return err
 
@@ -459,7 +459,7 @@ def _chain_rows(chain: _Chain, values, sums, threads: int = 1) -> list[ChainRow]
     for idx, (n, found) in enumerate(zip(chain.n_grid, per_element)):
         if isinstance(found, GammaLabError):
             raise found
-        fm, tv, floor = found
+        fm, tv = found
         report = optimize_bound(fm.estimate, kappa, d, budget_sup)
         se_bound = TWO_SQRT_2_OVER_PI * (report.alpha / report.eps) * lq_se
         pooled_se = math.sqrt(tv.uncertainty**2 + se_bound**2)
@@ -477,7 +477,7 @@ def _chain_rows(chain: _Chain, values, sums, threads: int = 1) -> list[ChainRow]
                 kappa=kappa, budget=budgets[idx],
                 alpha_star=report.alpha, eps_star=report.eps,
                 bound=report.total,
-                d_tv_floor=floor, above_floor=tv.estimate > floor,
+                d_tv_floor=tv.floor, above_floor=tv.estimate > tv.floor,
                 vacuous=report.total >= 1.0,
                 at_grid_edge=report.at_grid_edge,
                 tv_bins=tv.params["bins"], fm_step=fm.uncertainty,

@@ -14,6 +14,12 @@ import numpy as np
 from scipy import special, stats
 
 
+def support(fam):
+    """The family's canonical support (lo, hi)."""
+    return {"gaussian": (-math.inf, math.inf), "gamma": (0.0, math.inf)}.get(
+        fam.kind, (-1.0, 1.0))
+
+
 def pdf(fam, x):
     """Density of the family at x (float-valued)."""
     x = np.asarray(x, dtype=float)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from poly_helpers import embed
 import gamma_lab as gl
 from gamma_lab.anticoncentration import DEFAULT_EPS_GRID
 from gamma_lab.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, main
@@ -65,7 +66,7 @@ def rand_eigenfunction(rng, fam, dim, max_total=4):
     p = Polynomial.constant(Fraction(rng.randint(1, 5), rng.randint(1, 3)), dim)
     for var, i in enumerate(index, start=1):
         if i:
-            p = p * basis(fam, i).poly.embed(var, dim)
+            p = p * embed(basis(fam, i).poly, var, dim)
     return p, eigenvalue(fam, tuple(index))
 
 
@@ -118,7 +119,7 @@ def test_criterion_02_eigenstructure():
                     p = Polynomial.constant(1, dim)
                     for var, i in enumerate(index, start=1):
                         if i:
-                            p = p * basis(fam, i).poly.embed(var, dim)
+                            p = p * embed(basis(fam, i).poly, var, dim)
                     lam = eigenvalue(fam, index)
                     assert gl.apply_generator(op, p) == p.scale(-lam)
                     checked += 1
@@ -150,9 +151,9 @@ def test_criterion_03_poincare():
             assert rep.holds
         # equality on the first eigenspace
         for _ in range(10):
-            p = basis(fam, 1).poly.embed(1, 2).scale(
+            p = embed(basis(fam, 1).poly, 1, 2).scale(
                 Fraction(rng.randint(1, 7), rng.randint(1, 3))
-            ) + basis(fam, 1).poly.embed(2, 2).scale(
+            ) + embed(basis(fam, 1).poly, 2, 2).scale(
                 Fraction(rng.randint(-7, 7), rng.randint(1, 3))
             )
             if p.is_zero():

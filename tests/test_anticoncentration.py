@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from poly_helpers import variables
 from gamma_lab.anticoncentration import (
     DEFAULT_EPS_GRID,
     carbery_wright_check,
@@ -14,7 +15,7 @@ from gamma_lab.anticoncentration import (
 )
 from gamma_lab.errors import PreconditionError
 from gamma_lab.measures import expectation, gaussian, raw_moment
-from gamma_lab.poly import Polynomial, variables
+from gamma_lab.poly import Polynomial
 
 X1 = Polynomial.variable(1, 1)
 GAUSSIAN = gaussian()

@@ -90,6 +90,9 @@ NEGATIVE_CONFIGS = [
      "family": {"kind": "gaussian"}, "poly": {"dim": 1.5, "terms": "x"},
      "alphas": [0.2, 0.1]},  # a malformed poly (exit 3) after bad alphas (exit 2)
     dict(BASE_CHAIN, seed=2**64),  # would alias seed 0: a seed is 64 bits
+    # A replicate's stream label keeps 32 bits: replicate 2**32 would repeat 0.
+    dict(BASE_CHAIN, replicates=2**32 + 1),
+    dict(BASE_CHAIN, replicates=10**30),  # was an OverflowError traceback
 ]
 
 
@@ -208,6 +211,28 @@ def test_degenerate_custom_chain_exit_code(tmp_path):
     code = run_cli("run", "--config", cfg_path, "--out", str(tmp_path / "x"))
     assert code == EXIT_PRECONDITION
     assert code != EXIT_CONFIG
+
+
+SHIFTED = {"dim": 1, "terms": [{"exps": [[1, 1]], "coef": 1.0},
+                               {"exps": [], "coef": 1e9}]}
+
+
+@pytest.mark.parametrize("command", ["run", "poincare"])
+def test_large_mean_does_not_cancel_the_variance(tmp_path, capsys, command):
+    # x1 + 1e9 in double mode has variance 1 under gaussian: E[Q^2] - E[Q]^2
+    # cancelled to 0, which refused the chain as degenerate (exit 3) and
+    # printed "variance": 0.0.
+    path = write_json(tmp_path / "q.json", SHIFTED)
+    if command == "poincare":
+        assert run_cli("poincare", "--poly", path, "--family", "gaussian") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["variance"] == 1.0
+        return
+    cfg = write_json(tmp_path / "cfg.json", {
+        "schema": "gamma-lab/1", "scenario": "custom", "seed": 1,
+        "family": {"kind": "gaussian"}, "poly_files": [path], "samples": 2000})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", str(out)) == EXIT_OK
+    assert (out / "custom.csv").read_text().splitlines()[1].startswith("1,0.0,0.0,")
 
 
 # -- cos2 scenario ----------------------------------------------------------------
@@ -459,7 +484,8 @@ NOT_UTF8 = b"\xff\xfe{}"
       "--right", "analytic:uniform", "--seed", str(2**64)], EXIT_CONFIG),
     (["distance", "--metric", "kol", "--left",
       f"poly:@{{q}}:family=gaussian:n=100:seed={2**64}", "--right", "analytic:uniform"],
-     EXIT_CONFIG),
+     EXIT_CONFIG),    # More replicates than 32-bit stream labels (was an OverflowError).
+    (["run", "--config", "{manyreplicates}"], EXIT_CONFIG),
 ])
 def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, argv, code):
     (tmp_path / "notutf8.json").write_bytes(NOT_UTF8)
@@ -477,6 +503,7 @@ def test_cli_malformed_input_exit_codes(tmp_path, monkeypatch, argv, code):
         "bigcoef": '{"dim": 1, "terms": [{"exps": [[1, 1]], "coef": %s}]}' % ("9" * 5000),
         "bigseed": '{"seed": %s}' % ("9" * 5000),
         "chain": json.dumps(BASE_CHAIN),
+        "manyreplicates": json.dumps(dict(BASE_CHAIN, replicates=10**30)),
         "wide": "-1e308\n0\n1e308\n5\n",
         "narrow": "1\n2\n3\n4\n",
         "custom": json.dumps({

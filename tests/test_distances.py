@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import kstwobign
 
+from poly_helpers import variables
 from gamma_lab import distances
 from gamma_lab.distances import (
     AnalyticLaw,
@@ -16,13 +17,12 @@ from gamma_lab.distances import (
     bounded_lipschitz_grid_value,
     fortet_mourier,
     functional_samples,
-    histogram_tv_floor,
     kolmogorov,
     total_variation,
 )
 from gamma_lab.errors import PreconditionError
 from gamma_lab.measures import beta, gamma, gaussian
-from gamma_lab.poly import Polynomial, variables
+from gamma_lab.poly import Polynomial
 from gamma_lab.sampling import CHUNK_ROWS, derive_seed
 from gamma_lab.tv_bound import (
     linear_sum_sequence,
@@ -122,10 +122,35 @@ def test_histogram_tv_floor_tracks_equal_law_tv():
         ref = gaussian_samples(100_000, 500 + s)
         report = total_variation(gaussian_samples(100_000, 100 + s), ref)
         tvs.append(report.estimate)
-        floors.append(histogram_tv_floor(ref, report))
+        floors.append(report.floor)
     assert 0.8 < np.median(floors) / np.median(tvs) < 1.25
     point = SampleSet(np.zeros(5))
-    assert histogram_tv_floor(point, total_variation(point, point)) == 0.0
+    assert total_variation(point, point).floor == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 1001, CHUNK_ROWS + 3])
+def test_histogram_tv_counts_the_reference_as_its_halves(n):
+    # The report's estimate, standard error and floor are, bit for bit, those
+    # of the full histogram of y and the direct half-histogram floor: the
+    # halves' counts add up to y's full count on the same edges.
+    x, y = gaussian_samples(n + 7, 40 + n), gaussian_samples(n, 60 + n, loc=0.3)
+    report = total_variation(x, y)
+    edges = np.linspace(*report.params["range"], report.params["bins"] + 1)
+    half = n // 2
+    counts = [np.histogram(v, bins=edges)[0] for v in (y.values[:half], y.values[half:])]
+    full = np.histogram(y.values, bins=edges)[0]
+    assert np.array_equal(counts[0] + counts[1], full)
+    px = np.histogram(x.values, bins=edges)[0] / x.n
+    py = full / y.n
+    assert report.estimate == 0.5 * float(np.abs(px - py).sum())
+    assert report.uncertainty == 0.5 * math.sqrt(
+        float((px * (1 - px)).sum()) / x.n + float((py * (1 - py)).sum()) / y.n)
+    if n == 1:
+        assert report.floor == 0.0  # one sample: no halves to compare
+    else:
+        direct = [c / part for c, part in zip(counts, (half, n - half))]
+        assert report.floor == (
+            0.5 * float(np.abs(direct[0] - direct[1]).sum()) / math.sqrt(2.0))
 
 
 def test_tv_histogram_consistency_trend():

@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 import reference_laws
+from poly_helpers import variables
 from gamma_lab.config import parse_family
 from gamma_lab.errors import PreconditionError
 from gamma_lab.measures import (
@@ -29,7 +30,7 @@ from gamma_lab.measures import (
     sample,
     variance,
 )
-from gamma_lab.poly import Polynomial, variables
+from gamma_lab.poly import Polynomial
 from gamma_lab.sampling import (
     BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, chunk_edges, generator, substream,
 )
@@ -100,7 +101,7 @@ def test_beta_first_moment_formula():
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_moments_match_quadrature(fam):
     # oracle: adaptive quadrature of x^k against the family density
-    lo, hi = fam.support()
+    lo, hi = reference_laws.support(fam)
     lo, hi = max(lo, -40.0), min(hi, 60.0)
     for k in range(0, 13):
         exact = float(raw_moment(fam, k))
@@ -313,16 +314,21 @@ def test_draw_path_dispatch():
     def rng():
         return generator(substream(8, "paths"))
 
-    assert np.array_equal(gaussian().draw(rng(), shape), rng().standard_normal(shape))
+    # draw() fills column-major: the .T of a draw of the reversed shape is
+    # numpy's C-order draw.
+    def drawn(fam):
+        return fam.draw(rng(), shape[::-1]).T
+
+    assert np.array_equal(drawn(gaussian()), rng().standard_normal(shape))
     for fam in (beta(4, 4), beta(Fraction(5, 2), 2), beta(1, 5.5)):
         numpy_beta = 1.0 - 2.0 * rng().beta(float(fam.a), float(fam.b), size=shape)
-        assert np.array_equal(fam.draw(rng(), shape), numpy_beta)
+        assert np.array_equal(drawn(fam), numpy_beta)
     for fam in (gamma(4), gamma(Fraction(5, 2))):
-        assert np.array_equal(fam.draw(rng(), shape), rng().gamma(float(fam.r), size=shape))
+        assert np.array_equal(drawn(fam), rng().gamma(float(fam.r), size=shape))
     u = rng().random((*shape, 4))
-    assert np.array_equal(beta(3, 2).draw(rng(), shape), 1.0 - 2.0 * np.sort(u)[..., 2])
+    assert np.array_equal(drawn(beta(3, 2)), 1.0 - 2.0 * np.sort(u)[..., 2])
     e = rng().standard_exponential((*shape, 3))
-    assert np.array_equal(gamma(3).draw(rng(), shape), e[..., 0] + e[..., 1] + e[..., 2])
+    assert np.array_equal(drawn(gamma(3)), e[..., 0] + e[..., 1] + e[..., 2])
 
 
 @pytest.mark.parametrize("terms", range(1, BETA_ORDER_MAX + 1))
@@ -336,7 +342,7 @@ def test_beta_construction_is_the_sorted_uniform(terms):
 
     u = np.sort(rng().random((*shape, terms)))
     for a in range(1, terms + 1):
-        drawn = beta(a, terms + 1 - a).draw(rng(), shape)
+        drawn = beta(a, terms + 1 - a).draw(rng(), shape[::-1]).T
         assert drawn.tobytes() == (1.0 - 2.0 * u[..., a - 1]).tobytes()
 
 
@@ -398,10 +404,10 @@ def test_block_draws_equal_one_draw_per_chunk(family, slab):
             rng = generator(child)
             for a, b, x in drawn:
                 buf = np.concatenate([
-                    family.draw(rng, (width, min(slab, b - s)))
+                    family.draw(rng, (min(slab, b - s), width))
                     for s in range(a, b, slab)
-                ], axis=1)
-                assert np.array_equal(x, buf.T)
+                ])
+                assert np.array_equal(x, buf)
         assert not any(np.shares_memory(x, y) for x, y in zip(batches, batches[1:]))
 
 

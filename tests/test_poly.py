@@ -9,13 +9,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from poly_helpers import embed, variables
 from gamma_lab.errors import DimensionMismatchError, PreconditionError
-from gamma_lab.measures import beta, expectation, gamma, gaussian, raw_moment
-from gamma_lab.poly import Polynomial, variables
+from gamma_lab.measures import beta, expectation, gamma, gaussian, raw_moment, variance
+from gamma_lab.poly import Polynomial
 
 
 def xvar(i, dim):
     return Polynomial.variable(i, dim)
+
+
+def evaluate(p, point):
+    """p at one point of length p.dim, term by term in sorted order: exact
+    for exact inputs.  The pointwise reference of ``evaluate_batch``."""
+    if len(point) != p.dim:
+        raise DimensionMismatchError(f"point has length {len(point)}, expected {p.dim}")
+    total = Fraction(0) if p.exact else 0.0
+    for m, c in p.sorted_terms():
+        term = c
+        for var, power in m:
+            term = term * point[var - 1] ** power
+        total = total + term
+    return total
 
 
 # -- strategies --------------------------------------------------------------
@@ -43,23 +58,25 @@ def polynomials(draw, dim=3, max_terms=5, max_power=3):
 
 def test_evaluate_product():
     p = xvar(1, 2) * xvar(2, 2)
-    assert p.evaluate((2, 3)) == 6
+    assert evaluate(p, (2, 3)) == 6 == p.evaluate_batch(np.array([[2.0, 3.0]]))[0]
 
 
 def test_evaluate_constant_empty_product():
     p = Polynomial.constant(1, dim=3)
-    assert p.evaluate((5, -2, 7)) == 1
+    assert evaluate(p, (5, -2, 7)) == 1 == p.evaluate_batch(np.array([[5.0, -2.0, 7.0]]))[0]
 
 
 def test_evaluate_univariate():
     x = xvar(1, 1)
     p = x * x - x.scale(3)
-    assert p.evaluate((2,)) == -2
+    assert evaluate(p, (2,)) == -2 == p.evaluate_batch(np.array([[2.0]]))[0]
 
 
 def test_evaluate_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        xvar(1, 2).evaluate((1,))
+        evaluate(xvar(1, 2), (1,))
+    with pytest.raises(DimensionMismatchError):
+        xvar(1, 2).evaluate_batch(np.ones((1, 1)))
 
 
 def test_ring_examples():
@@ -152,7 +169,7 @@ def test_evaluate_batch_matches_evaluate(p):
     pts = np.array([[0.3, -0.9, 1.7], [0.0, 2.0, -1.0]])
     batch = p.evaluate_batch(pts)
     for row, val in zip(pts, batch):
-        assert val == pytest.approx(float(p.evaluate(tuple(row))), rel=1e-12, abs=1e-12)
+        assert val == pytest.approx(float(evaluate(p, tuple(row))), rel=1e-12, abs=1e-12)
 
 
 @given(polynomials(), st.integers(1, 40), st.integers(0, 2**32 - 1))
@@ -339,11 +356,20 @@ def test_exact_kernel_matches_fraction_reference(p, q, factor, i, k):
         assert expectation(p, family) == ref_expectation(a, family)
 
 
+@given(polynomials())
+def test_centered_variance_equals_the_product_route(p):
+    # variance() centers p before squaring; on exact polynomials that is
+    # E[p^2] - (E p)^2, exactly.
+    for family in (gaussian(), gamma(Fraction(5, 2)), beta(2, 3)):
+        mean = expectation(p, family)
+        assert variance(p, family) == expectation(p * p, family) - mean * mean
+
+
 @given(polynomials(dim=1), polynomials(), st.integers(1, 3))
 def test_univariate_kernel_matches_fraction_reference(phi, q, var):
     a = dict(phi.terms)
     assert items(phi.compose(q)) == list(ref_compose(a, dict(q.terms)).items())
-    assert items(phi.embed(var, 3)) == [
+    assert items(embed(phi, var, 3)) == [
         (((var, m[0][1]),) if m else (), c) for m, c in a.items()]
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from poly_helpers import variables
 from gamma_lab.distances import SampleSet, fortet_mourier, total_variation
 from gamma_lab.errors import (
     ConsistencyError,
@@ -21,7 +22,7 @@ from gamma_lab.measures import (
     variance,
 )
 from gamma_lab.operators import DiffusionOperator, apply_generator
-from gamma_lab.poly import Polynomial, variables
+from gamma_lab.poly import Polynomial
 from gamma_lab.sampling import (
     BLOCK_ROWS, CHUNK_ROWS, SLAB_ROWS, chunk_edges, generator, substream,
 )
@@ -408,9 +409,9 @@ def test_chain_rows_do_not_depend_on_pool_threads(monkeypatch):
         for start in range(lo, hi, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, hi)
             blocks.append(np.concatenate([
-                fam.draw(rng, (8, min(SLAB_ROWS, stop - s)))
+                fam.draw(rng, (min(SLAB_ROWS, stop - s), 8))
                 for s in range(start, stop, SLAB_ROWS)
-            ], axis=1).T)
+            ]))
     pool = np.concatenate(blocks)
     first, last = (pair_product_sequence(fam, n) for n in (2, 4))
     cur = SampleSet(first.evaluate_batch(pool[:, :4]))
